@@ -357,6 +357,122 @@ pub struct ChainReq<'a> {
     pub buf: &'a mut [u8],
 }
 
+/// What the flight engine needs to know about one kind of batched
+/// request. [`ReadReq`] and [`ChainReq`] implement it, so
+/// [`UserThread::pread_batch`] and [`UserThread::pread_chain_batch`]
+/// share one qualify/submit/wait/reap/demote path.
+trait FlightReq: Sized {
+    /// Argument shared by the whole batch (a chain's program).
+    type Batch: Copy;
+
+    /// Fast-path qualification against a `slot`-byte DMA budget and a
+    /// `size`-byte file.
+    fn qualifies(&self, slot: usize, size: u64) -> bool;
+
+    /// The device command for this request, DMA'd into `dma` at offset 0
+    /// of a file mapped at `vba`.
+    fn command<'d>(&self, batch: Self::Batch, vba: Vba, dma: &'d DmaBuffer) -> Command<'d>;
+
+    /// The bytes a successful command delivers: copied out and charged.
+    fn dest(&mut self) -> &mut [u8];
+
+    /// Serves this request on the single-op path (demotion, a faulted
+    /// slot, or a lost completion).
+    fn sequential(
+        &mut self,
+        t: &mut UserThread,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        batch: Self::Batch,
+    ) -> SysResult<usize>;
+
+    /// Runs once after a flight, over all of its requests.
+    fn after_flight(_entry: &FileEntry, _now: Nanos, _chunk: &mut [Self]) {}
+}
+
+impl FlightReq for ReadReq<'_> {
+    type Batch = ();
+
+    fn qualifies(&self, slot: usize, size: u64) -> bool {
+        let len = self.buf.len() as u64;
+        self.offset.is_multiple_of(SECTOR_SIZE)
+            && len.is_multiple_of(SECTOR_SIZE)
+            && !self.buf.is_empty()
+            && self.buf.len() <= slot
+            && self.offset + len <= size
+    }
+
+    fn command<'d>(&self, (): (), vba: Vba, dma: &'d DmaBuffer) -> Command<'d> {
+        read_at(vba.offset(self.offset), self.buf.len() as u64)(dma)
+    }
+
+    fn dest(&mut self) -> &mut [u8] {
+        self.buf
+    }
+
+    fn sequential(
+        &mut self,
+        t: &mut UserThread,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        (): (),
+    ) -> SysResult<usize> {
+        t.pread(ctx, fd, self.buf, self.offset)
+    }
+
+    /// Read-after-write consistency, same gate as the sequential path.
+    fn after_flight(entry: &FileEntry, now: Nanos, chunk: &mut [Self]) {
+        // ordering: Relaxed — mirror of the pending length, written under the
+        // pending lock; races resolve via the serialised actor schedule.
+        if entry.pending_count.load(Ordering::Relaxed) > 0 {
+            UserThread::prune_pending(entry, now);
+            for r in chunk {
+                UserThread::overlay_pending(entry, r.buf, r.offset);
+            }
+        }
+    }
+}
+
+impl FlightReq for ChainReq<'_> {
+    type Batch = bypassd_offload::ProgHandle;
+
+    fn qualifies(&self, slot: usize, size: u64) -> bool {
+        const BLOCK: u64 = bypassd_offload::BLOCK as u64;
+        slot as u64 >= BLOCK
+            && self.start.is_multiple_of(SECTOR_SIZE)
+            && self.buf.len() as u64 >= BLOCK
+            && self.start + BLOCK <= size
+    }
+
+    fn command<'d>(
+        &self,
+        prog: bypassd_offload::ProgHandle,
+        vba: Vba,
+        dma: &'d DmaBuffer,
+    ) -> Command<'d> {
+        let spec = bypassd_offload::ChainSpec {
+            prog,
+            regs: self.regs,
+            base_vba: vba.0,
+        };
+        Command::chain_read(vba.offset(self.start), dma, spec)
+    }
+
+    fn dest(&mut self) -> &mut [u8] {
+        &mut self.buf[..bypassd_offload::BLOCK]
+    }
+
+    fn sequential(
+        &mut self,
+        t: &mut UserThread,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        prog: bypassd_offload::ProgHandle,
+    ) -> SysResult<usize> {
+        t.pread_chain(ctx, fd, prog, self.regs, self.start, self.buf)
+    }
+}
+
 /// Preallocated SoA in-flight table for batched submission: one slot per
 /// hardware queue entry, reused across batches so the steady state never
 /// allocates. Parallel columns rather than a `Vec<struct>` so the reap
@@ -364,8 +480,6 @@ pub struct ChainReq<'a> {
 struct BatchScratch {
     /// Device command ids, in submission order.
     cids: Vec<u16>,
-    /// Request index (into the caller's slice) per submission slot.
-    req_idx: Vec<usize>,
     /// Completion visibility time per submission slot.
     ready: Vec<Nanos>,
     /// Reap staging, drained from the device in one locked pass.
@@ -376,7 +490,6 @@ impl BatchScratch {
     fn with_capacity(depth: usize) -> BatchScratch {
         BatchScratch {
             cids: Vec::with_capacity(depth),
-            req_idx: Vec::with_capacity(depth),
             ready: Vec::with_capacity(depth),
             comps: Vec::with_capacity(depth),
         }
@@ -405,7 +518,7 @@ pub struct UserThread {
     /// device consumes the data synchronously at submission, so the
     /// buffer is free for reuse as soon as `submit` returns).
     async_staging: Option<DmaBuffer>,
-    /// SoA in-flight table for [`UserThread::pread_batch`].
+    /// SoA in-flight table for batched flights.
     batch: BatchScratch,
 }
 
@@ -423,6 +536,17 @@ enum DirectIo {
     Done,
     Revoked,
     Fault,
+}
+
+/// [`UserThread::direct_io`] command builder: a read of `span` bytes
+/// (whole sectors) at `vba` into the thread DMA buffer.
+fn read_at(vba: Vba, span: u64) -> impl Fn(&DmaBuffer) -> Command<'_> {
+    move |dma| Command::read(BlockAddr::Vba(vba), (span / SECTOR_SIZE) as u32, dma)
+}
+
+/// As [`read_at`], writing `span` bytes from the thread DMA buffer.
+fn write_at(vba: Vba, span: u64) -> impl Fn(&DmaBuffer) -> Command<'_> {
+    move |dma| Command::write(BlockAddr::Vba(vba), (span / SECTOR_SIZE) as u32, dma)
 }
 
 impl UserThread {
@@ -589,39 +713,29 @@ impl UserThread {
 
     // ---- data path ----
 
-    /// One direct device round trip over `span` bytes starting at `vba`
-    /// (the file's base VBA already offset to the target sector), reading
-    /// into / writing from the thread DMA buffer at offset 0.
-    #[allow(clippy::too_many_arguments)]
+    /// One direct device round trip. `cmd` builds the command against
+    /// the thread DMA buffer (a builder, not a `Command`, because the
+    /// command borrows that buffer while the round trip updates the
+    /// thread); a transient media error re-issues it in place.
     fn direct_io(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
         entry: &FileEntry,
-        vba: Vba,
-        span: u64,
-        write: bool,
+        cmd: impl Fn(&DmaBuffer) -> Command<'_>,
         scratch: &mut OpScratch,
     ) -> SysResult<DirectIo> {
-        debug_assert!(span.is_multiple_of(SECTOR_SIZE) && span > 0);
         ctx.delay(self.cost().userlib_overhead);
         scratch.userlib += self.cost().userlib_overhead;
-        let addr = BlockAddr::Vba(vba);
-        let sectors = (span / SECTOR_SIZE) as u32;
         let policy = self.proc.io_policy();
         let mut media_retries = 0u32;
         loop {
-            let cmd = if write {
-                Command::write(addr, sectors, &self.dma)
-            } else {
-                Command::read(addr, sectors, &self.dma)
-            };
             let submit = ctx.now();
             let comp = self
                 .proc
                 .system
                 .device()
-                .execute_full(self.qid, cmd, submit);
+                .execute_full(self.qid, cmd(&self.dma), submit);
             self.note_pressure(comp.pressure);
             ctx.wait_until(comp.ready_at);
             scratch.device_span += comp.ready_at.saturating_sub(submit);
@@ -642,7 +756,44 @@ impl UserThread {
                         ctx.delay(policy.retry_backoff);
                     }
                 }
+                // Program `Fail`, engine trap, or invalid submission.
                 _ => return Err(Errno::Inval),
+            }
+        }
+    }
+
+    /// Runs one direct op's device round trips (`attempt`, against the
+    /// file's VBA) until they all complete. After a translation fault the
+    /// file has been re-fmapped, so the next attempt picks up the fresh
+    /// VBA: a sibling thread's close() unmaps the whole per-process
+    /// mapping, and retrying the stale one would fault forever. Returns
+    /// false once the op belongs on the kernel path: revoked, faulted
+    /// `max_attempts` times (e.g. a hole), or left unmapped.
+    fn retry_direct(
+        &mut self,
+        ctx: &mut ActorCtx,
+        entry: &FileEntry,
+        mut vba: Vba,
+        mut attempt: impl FnMut(&mut Self, &mut ActorCtx, Vba) -> SysResult<DirectIo>,
+    ) -> SysResult<bool> {
+        let policy = self.proc.io_policy();
+        let mut attempts = 0;
+        loop {
+            match attempt(self, ctx, vba)? {
+                DirectIo::Done => return Ok(true),
+                DirectIo::Revoked => return Ok(false),
+                DirectIo::Fault => {}
+            }
+            attempts += 1;
+            if attempts >= policy.max_attempts {
+                return Ok(false);
+            }
+            match entry.state.lock().vba {
+                Some(v) => vba = v,
+                None => return Ok(false),
+            }
+            if policy.retry_backoff > Nanos::ZERO {
+                ctx.delay(policy.retry_backoff);
             }
         }
     }
@@ -801,73 +952,48 @@ impl UserThread {
             }
         }
         let len = (buf.len() as u64).min(st.size - offset);
-        let Some(mut vba) = st.vba else {
+        let Some(vba) = st.vba else {
             return Err(Errno::Inval);
         };
         let start = offset - offset % SECTOR_SIZE;
         let end = (offset + len).div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
-        let policy = self.proc.io_policy();
-        let mut attempts = 0;
-        loop {
+        let direct = self.retry_direct(ctx, &entry, vba, |t, ctx, vba| {
             // Chunk by the DMA buffer size.
             let mut pos = start;
-            let mut ok = true;
             while pos < end {
-                let span = (end - pos).min(self.dma.len() as u64);
-                match self.direct_io(ctx, fd, &entry, vba.offset(pos), span, false, scratch)? {
-                    DirectIo::Done => {
-                        let copy = self.cost().user_copy(span.min(len));
-                        ctx.delay(copy);
-                        scratch.user_copy += copy;
-                        let lo = offset.max(pos);
-                        let hi = (offset + len).min(pos + span);
-                        self.dma.read(
-                            (lo - pos) as usize,
-                            &mut buf[(lo - offset) as usize..(hi - offset) as usize],
-                        );
-                        pos += span;
-                    }
-                    DirectIo::Revoked => {
-                        return self.kernel_pread(ctx, fd, buf, offset, scratch);
-                    }
-                    DirectIo::Fault => {
-                        ok = false;
-                        break;
-                    }
+                let span = (end - pos).min(t.dma.len() as u64);
+                match t.direct_io(ctx, fd, &entry, read_at(vba.offset(pos), span), scratch)? {
+                    DirectIo::Done => {}
+                    io => return Ok(io),
                 }
+                let copy = t.cost().user_copy(span.min(len));
+                ctx.delay(copy);
+                scratch.user_copy += copy;
+                let lo = offset.max(pos);
+                let hi = (offset + len).min(pos + span);
+                t.dma.read(
+                    (lo - pos) as usize,
+                    &mut buf[(lo - offset) as usize..(hi - offset) as usize],
+                );
+                pos += span;
             }
-            if ok {
-                // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
-                self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
-                // Read-after-write consistency for non-blocking writes:
-                // overlay any unconfirmed data (§5.1). One relaxed load
-                // skips both overlay locks in the common no-async case.
-                // ordering: Relaxed — mirror of the pending length, written under the
-                // pending lock; racing pushes resolve via the actor schedule.
-                if entry.pending_count.load(Ordering::Relaxed) > 0 {
-                    Self::prune_pending(&entry, ctx.now());
-                    Self::overlay_pending(&entry, &mut buf[..len as usize], offset);
-                }
-                return Ok(len as usize);
-            }
-            attempts += 1;
-            if attempts >= policy.max_attempts {
-                // Persistent fault (e.g. a hole): let the kernel path
-                // handle this one op.
-                return self.kernel_pread(ctx, fd, buf, offset, scratch);
-            }
-            // The fault handler re-fmapped the file; a sibling thread's
-            // close() unmaps the whole per-process mapping, so the fresh
-            // map may live at a new VBA — retrying the stale one would
-            // fault forever.
-            match entry.state.lock().vba {
-                Some(v) => vba = v,
-                None => return self.kernel_pread(ctx, fd, buf, offset, scratch),
-            }
-            if policy.retry_backoff > Nanos::ZERO {
-                ctx.delay(policy.retry_backoff);
-            }
+            Ok(DirectIo::Done)
+        })?;
+        if !direct {
+            return self.kernel_pread(ctx, fd, buf, offset, scratch);
         }
+        // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
+        self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
+        // Read-after-write consistency for non-blocking writes: overlay
+        // any unconfirmed data (§5.1). One relaxed load skips both
+        // overlay locks in the common no-async case.
+        // ordering: Relaxed — mirror of the pending length, written under the
+        // pending lock; racing pushes resolve via the actor schedule.
+        if entry.pending_count.load(Ordering::Relaxed) > 0 {
+            Self::prune_pending(&entry, ctx.now());
+            Self::overlay_pending(&entry, &mut buf[..len as usize], offset);
+        }
+        Ok(len as usize)
     }
 
     /// Batched `pread` (§4.2 batching): submits up to a full submission
@@ -893,86 +1019,88 @@ impl UserThread {
         fd: Fd,
         reqs: &mut [ReadReq<'_>],
     ) -> SysResult<usize> {
+        self.batch_flights(ctx, fd, (), reqs)
+    }
+
+    /// The one batch dispatcher: qualifies every request for the fast
+    /// path (else serves the whole batch sequentially), then windows the
+    /// batch into flights of at most the effective queue depth.
+    fn batch_flights<R: FlightReq>(
+        &mut self,
+        ctx: &mut ActorCtx,
+        fd: Fd,
+        batch: R::Batch,
+        reqs: &mut [R],
+    ) -> SysResult<usize> {
         if reqs.is_empty() {
             return Ok(0);
         }
         let entry = self.entry_cached(fd)?;
         let st = *entry.state.lock();
         let slot = self.dma.len() / self.queue_depth;
-        let direct_ok = !st.fallback
-            && st.vba.is_some()
-            && reqs.iter().all(|r| {
-                let len = r.buf.len() as u64;
-                r.offset.is_multiple_of(SECTOR_SIZE)
-                    && len.is_multiple_of(SECTOR_SIZE)
-                    && !r.buf.is_empty()
-                    && r.buf.len() <= slot
-                    && r.offset + len <= st.size
-            });
-        if !direct_ok {
-            let mut total = 0;
+        let direct = st
+            .vba
+            .filter(|_| !st.fallback && reqs.iter().all(|r| r.qualifies(slot, st.size)));
+        let mut total = 0usize;
+        let Some(vba) = direct else {
             for r in reqs.iter_mut() {
-                total += self.pread(ctx, fd, r.buf, r.offset)?;
+                total += r.sequential(self, ctx, fd, batch)?;
             }
             return Ok(total);
-        }
-        let vba = st.vba.expect("checked above");
+        };
         let window = self.effective_depth.clamp(1, self.queue_depth);
-        let mut total = 0usize;
-        let mut base = 0usize;
-        while base < reqs.len() {
-            let n = window.min(reqs.len() - base);
-            let chunk = &mut reqs[base..base + n];
-            total += self.flight(ctx, fd, &entry, vba, slot, chunk)?;
-            base += n;
+        for chunk in reqs.chunks_mut(window) {
+            total += self.flight(ctx, fd, &entry, batch, vba, slot, chunk)?;
         }
         Ok(total)
     }
 
-    /// One batched flight of up to `effective_depth` direct reads:
-    /// submit all, ring once, wait once, reap once.
+    /// One batched flight of up to `effective_depth` direct requests:
+    /// submit all, ring once, wait once, reap once. Faulted slots demote
+    /// to the sequential path; lost completions are aborted and
+    /// re-issued there.
     #[allow(clippy::too_many_arguments)]
-    fn flight(
+    fn flight<R: FlightReq>(
         &mut self,
         ctx: &mut ActorCtx,
         fd: Fd,
-        entry: &Arc<FileEntry>,
+        entry: &FileEntry,
+        batch: R::Batch,
         vba: Vba,
         slot: usize,
-        chunk: &mut [ReadReq<'_>],
+        chunk: &mut [R],
     ) -> SysResult<usize> {
         let op_start = ctx.now();
         // One userlib + doorbell charge for the whole flight.
         ctx.delay(self.cost().userlib_overhead);
         let submit_now = ctx.now();
         self.batch.cids.clear();
-        self.batch.req_idx.clear();
         self.batch.ready.clear();
         let submitted = {
             let dma = &self.dma;
             let dev = self.proc.system.device();
             let cmds = chunk.iter().enumerate().map(|(i, r)| {
-                let mut cmd = Command::read(
-                    BlockAddr::Vba(vba.offset(r.offset)),
-                    (r.buf.len() as u64 / SECTOR_SIZE) as u32,
-                    dma,
-                );
+                let mut cmd = r.command(batch, vba, dma);
                 cmd.dma_offset = i * slot;
                 cmd
             });
             dev.submit_batch(self.qid, cmds, submit_now, &mut self.batch.cids)
         };
+        // Wait once for the latest ready time. A missing ready time means
+        // the CQ entry was swallowed (injected completion loss): nothing
+        // to wait for — the request is re-issued after the reap.
+        let mut latest = submit_now;
+        for k in 0..self.batch.cids.len() {
+            let cid = self.batch.cids[k];
+            let dev = self.proc.system.device();
+            let t = dev.ready_time(self.qid, cid).unwrap_or(submit_now);
+            self.batch.ready.push(t);
+            latest = latest.max(t);
+        }
+        ctx.wait_until(latest);
         if submitted.is_err() {
             // The private queue was unexpectedly full: drain whatever was
             // accepted, then serve the flight sequentially.
-            let mut latest = submit_now;
-            for k in 0..self.batch.cids.len() {
-                let cid = self.batch.cids[k];
-                if let Some(t) = self.proc.system.device().ready_time(self.qid, cid) {
-                    latest = latest.max(t);
-                }
-            }
-            ctx.wait_until(latest);
             for k in 0..self.batch.cids.len() {
                 let cid = self.batch.cids[k];
                 if let Some(c) = self.proc.system.device().reap_at(self.qid, cid, ctx.now()) {
@@ -981,28 +1109,12 @@ impl UserThread {
             }
             let mut total = 0;
             for r in chunk.iter_mut() {
-                total += self.pread(ctx, fd, r.buf, r.offset)?;
+                total += r.sequential(self, ctx, fd, batch)?;
             }
             return Ok(total);
         }
-        // Completion batching: wait once for the latest ready time, then
-        // drain the CQ in one locked pass into reused scratch.
-        let mut latest = submit_now;
-        for k in 0..self.batch.cids.len() {
-            let cid = self.batch.cids[k];
-            // A missing ready time means the CQ entry was swallowed
-            // (injected completion loss): nothing to wait for — the
-            // request is re-issued after the reap.
-            let t = self
-                .proc
-                .system
-                .device()
-                .ready_time(self.qid, cid)
-                .unwrap_or(submit_now);
-            self.batch.ready.push(t);
-            latest = latest.max(t);
-        }
-        ctx.wait_until(latest);
+        // Completion batching: drain the CQ in one locked pass into
+        // reused scratch.
         self.batch.comps.clear();
         self.proc.system.device().reap_ready_into(
             self.qid,
@@ -1025,11 +1137,11 @@ impl UserThread {
                 .position(|&c| c == comp.cid)
                 .expect("reaped a cid this flight never submitted");
             if comp.status.is_ok() {
-                let req = &mut chunk[i];
-                let copy = self.cost().user_copy(req.buf.len() as u64);
+                let dest = chunk[i].dest();
+                let copy = self.cost().user_copy(dest.len() as u64);
                 copy_total += copy;
-                self.dma.read(i * slot, req.buf);
-                ok_bytes += req.buf.len();
+                self.dma.read(i * slot, dest);
+                ok_bytes += dest.len();
                 ok_ops += 1;
                 self.record_flight_op(
                     ctx,
@@ -1038,24 +1150,26 @@ impl UserThread {
                     submit_now,
                     self.batch.ready[i],
                     copy,
-                    req.buf.len(),
+                    dest.len(),
                 );
             } else {
-                // Translation fault (revocation or growth race): retry
-                // this request on the sequential path, which re-fmaps.
-                retry_bytes += self.pread(ctx, fd, chunk[i].buf, chunk[i].offset)?;
+                // Translation fault (revocation or growth race) or a
+                // chain fault: the sequential path re-fmaps and retries,
+                // or surfaces the program's failure.
+                retry_bytes += chunk[i].sequential(self, ctx, fd, batch)?;
             }
         }
         if self.batch.comps.len() < chunk.len() {
-            // Lost CQ entries (injected completion drop): re-issue the
-            // un-reaped reads on the sequential path, as a host timeout
-            // would.
+            // Lost CQ entries (injected completion drop): abort the
+            // lost commands to free their queue slots, then re-issue each
+            // on the sequential path, as a host timeout would.
+            self.proc.system.device().abort(self.qid, &self.batch.cids);
             for (i, req) in chunk.iter_mut().enumerate() {
                 let cid = self.batch.cids[i];
                 if self.batch.comps.iter().any(|c| c.cid == cid) {
                     continue;
                 }
-                retry_bytes += self.pread(ctx, fd, req.buf, req.offset)?;
+                retry_bytes += req.sequential(self, ctx, fd, batch)?;
             }
         }
         if copy_total > Nanos::ZERO {
@@ -1063,15 +1177,7 @@ impl UserThread {
         }
         // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
         self.proc.direct_ops.fetch_add(ok_ops, Ordering::Relaxed);
-        // Read-after-write consistency, same gate as the sequential path.
-        // ordering: Relaxed — mirror of the pending length, written under the
-        // pending lock; races resolve via the serialised actor schedule.
-        if entry.pending_count.load(Ordering::Relaxed) > 0 {
-            Self::prune_pending(entry, ctx.now());
-            for r in chunk.iter_mut() {
-                Self::overlay_pending(entry, r.buf, r.offset);
-            }
-        }
+        R::after_flight(entry, ctx.now(), chunk);
         Ok(ok_bytes + retry_bytes)
     }
 
@@ -1155,90 +1261,36 @@ impl UserThread {
         buf: &mut [u8],
         scratch: &mut OpScratch,
     ) -> SysResult<usize> {
-        const BLOCK: u64 = bypassd_offload::BLOCK as u64;
-        if !start.is_multiple_of(SECTOR_SIZE) || (buf.len() as u64) < BLOCK {
+        const BLOCK: usize = bypassd_offload::BLOCK;
+        if !start.is_multiple_of(SECTOR_SIZE) || buf.len() < BLOCK {
             return Err(Errno::Inval);
         }
         let entry = self.entry_cached(fd)?;
         let st = *entry.state.lock();
-        if start + BLOCK > st.size {
+        if start + BLOCK as u64 > st.size {
             return Err(Errno::Inval);
         }
-        if st.fallback || st.vba.is_none() {
-            return self.chain_host_fallback(ctx, fd, prog, regs, start, buf, scratch);
-        }
-        let mut vba = st.vba.expect("checked above");
-        let policy = self.proc.io_policy();
-        let mut attempts = 0;
-        loop {
-            ctx.delay(self.cost().userlib_overhead);
-            scratch.userlib += self.cost().userlib_overhead;
-            let spec = bypassd_offload::ChainSpec {
-                prog,
-                regs,
-                base_vba: vba.0,
-            };
-            let cmd = Command::chain_read(vba.offset(start), &self.dma, spec);
-            let submit = ctx.now();
-            let comp = self
-                .proc
-                .system
-                .device()
-                .execute_full(self.qid, cmd, submit);
-            self.note_pressure(comp.pressure);
-            ctx.wait_until(comp.ready_at);
-            scratch.device_span += comp.ready_at.saturating_sub(submit);
-            match comp.status {
-                NvmeStatus::Success => {
-                    let copy = self.cost().user_copy(BLOCK);
+        let mut req = ChainReq { start, regs, buf };
+        let direct = match st.vba {
+            Some(vba) if !st.fallback => self.retry_direct(ctx, &entry, vba, |t, ctx, vba| {
+                let io =
+                    t.direct_io(ctx, fd, &entry, |dma| req.command(prog, vba, dma), scratch)?;
+                if let DirectIo::Done = io {
+                    let copy = t.cost().user_copy(BLOCK as u64);
                     ctx.delay(copy);
                     scratch.user_copy += copy;
-                    self.dma.read(0, &mut buf[..BLOCK as usize]);
-                    // ordering: Relaxed — monotonic stats counter; read only for
-                    // reporting, publishes no other memory.
-                    self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
-                    return Ok(BLOCK as usize);
+                    t.dma.read(0, req.dest());
                 }
-                NvmeStatus::TranslationFault(_) => {
-                    match self.refmap_after_fault(ctx, fd, &entry, scratch)? {
-                        DirectIo::Revoked => {
-                            return self
-                                .chain_host_fallback(ctx, fd, prog, regs, start, buf, scratch);
-                        }
-                        _ => {
-                            attempts += 1;
-                            if attempts >= policy.max_attempts {
-                                return self
-                                    .chain_host_fallback(ctx, fd, prog, regs, start, buf, scratch);
-                            }
-                            match entry.state.lock().vba {
-                                Some(v) => vba = v,
-                                None => {
-                                    return self.chain_host_fallback(
-                                        ctx, fd, prog, regs, start, buf, scratch,
-                                    );
-                                }
-                            }
-                            if policy.retry_backoff > Nanos::ZERO {
-                                ctx.delay(policy.retry_backoff);
-                            }
-                        }
-                    }
-                }
-                NvmeStatus::MediaError => {
-                    // Transient media error: bounded in-place retry, then EIO.
-                    attempts += 1;
-                    if attempts >= policy.max_attempts {
-                        return Err(Errno::Io);
-                    }
-                    if policy.retry_backoff > Nanos::ZERO {
-                        ctx.delay(policy.retry_backoff);
-                    }
-                }
-                // Program `Fail`, engine trap, or invalid submission.
-                _ => return Err(Errno::Inval),
-            }
+                Ok(io)
+            })?,
+            _ => false,
+        };
+        if !direct {
+            return self.chain_host_fallback(ctx, fd, prog, regs, start, req.buf, scratch);
         }
+        // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
+        self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
+        Ok(BLOCK)
     }
 
     /// Host-side interpretation of a chain after fallback/revocation:
@@ -1301,175 +1353,7 @@ impl UserThread {
         prog: bypassd_offload::ProgHandle,
         reqs: &mut [ChainReq<'_>],
     ) -> SysResult<usize> {
-        const BLOCK: u64 = bypassd_offload::BLOCK as u64;
-        if reqs.is_empty() {
-            return Ok(0);
-        }
-        let entry = self.entry_cached(fd)?;
-        let st = *entry.state.lock();
-        let slot = self.dma.len() / self.queue_depth;
-        let direct_ok = !st.fallback
-            && st.vba.is_some()
-            && slot as u64 >= BLOCK
-            && reqs.iter().all(|r| {
-                r.start.is_multiple_of(SECTOR_SIZE)
-                    && r.buf.len() as u64 >= BLOCK
-                    && r.start + BLOCK <= st.size
-            });
-        if !direct_ok {
-            let mut total = 0;
-            for r in reqs.iter_mut() {
-                total += self.pread_chain(ctx, fd, prog, r.regs, r.start, r.buf)?;
-            }
-            return Ok(total);
-        }
-        let vba = st.vba.expect("checked above");
-        let window = self.effective_depth.clamp(1, self.queue_depth);
-        let mut total = 0usize;
-        let mut base = 0usize;
-        while base < reqs.len() {
-            let n = window.min(reqs.len() - base);
-            let chunk = &mut reqs[base..base + n];
-            total += self.chain_flight(ctx, fd, prog, vba, slot, chunk)?;
-            base += n;
-        }
-        Ok(total)
-    }
-
-    /// One batched flight of concurrent chains: submit all, ring once,
-    /// wait once, reap once (mirrors [`UserThread::flight`]).
-    fn chain_flight(
-        &mut self,
-        ctx: &mut ActorCtx,
-        fd: Fd,
-        prog: bypassd_offload::ProgHandle,
-        vba: Vba,
-        slot: usize,
-        chunk: &mut [ChainReq<'_>],
-    ) -> SysResult<usize> {
-        const BLOCK: usize = bypassd_offload::BLOCK;
-        let op_start = ctx.now();
-        ctx.delay(self.cost().userlib_overhead);
-        let submit_now = ctx.now();
-        self.batch.cids.clear();
-        self.batch.req_idx.clear();
-        self.batch.ready.clear();
-        let submitted = {
-            let dma = &self.dma;
-            let dev = self.proc.system.device();
-            let cmds = chunk.iter().enumerate().map(|(i, r)| {
-                let spec = bypassd_offload::ChainSpec {
-                    prog,
-                    regs: r.regs,
-                    base_vba: vba.0,
-                };
-                let mut cmd = Command::chain_read(vba.offset(r.start), dma, spec);
-                cmd.dma_offset = i * slot;
-                cmd
-            });
-            dev.submit_batch(self.qid, cmds, submit_now, &mut self.batch.cids)
-        };
-        if submitted.is_err() {
-            // Unexpectedly full queue: drain what was accepted, then
-            // serve the flight sequentially.
-            let mut latest = submit_now;
-            for k in 0..self.batch.cids.len() {
-                let cid = self.batch.cids[k];
-                if let Some(t) = self.proc.system.device().ready_time(self.qid, cid) {
-                    latest = latest.max(t);
-                }
-            }
-            ctx.wait_until(latest);
-            for k in 0..self.batch.cids.len() {
-                let cid = self.batch.cids[k];
-                if let Some(c) = self.proc.system.device().reap_at(self.qid, cid, ctx.now()) {
-                    self.note_pressure(c.pressure);
-                }
-            }
-            let mut total = 0;
-            for r in chunk.iter_mut() {
-                total += self.pread_chain(ctx, fd, prog, r.regs, r.start, r.buf)?;
-            }
-            return Ok(total);
-        }
-        let mut latest = submit_now;
-        for k in 0..self.batch.cids.len() {
-            let cid = self.batch.cids[k];
-            // Missing ready time = swallowed CQ entry (injected
-            // completion loss); the chain is re-issued after the reap.
-            let t = self
-                .proc
-                .system
-                .device()
-                .ready_time(self.qid, cid)
-                .unwrap_or(submit_now);
-            self.batch.ready.push(t);
-            latest = latest.max(t);
-        }
-        ctx.wait_until(latest);
-        self.batch.comps.clear();
-        self.proc.system.device().reap_ready_into(
-            self.qid,
-            ctx.now(),
-            chunk.len(),
-            &mut self.batch.comps,
-        );
-        let mut copy_total = Nanos::ZERO;
-        let mut ok_bytes = 0usize;
-        let mut ok_ops = 0u64;
-        let mut retry_bytes = 0usize;
-        for k in 0..self.batch.comps.len() {
-            let comp = self.batch.comps[k];
-            self.note_pressure(comp.pressure);
-            let i = self
-                .batch
-                .cids
-                .iter()
-                .position(|&c| c == comp.cid)
-                .expect("reaped a cid this flight never submitted");
-            if comp.status.is_ok() {
-                let req = &mut chunk[i];
-                let copy = self.cost().user_copy(BLOCK as u64);
-                copy_total += copy;
-                self.dma.read(i * slot, &mut req.buf[..BLOCK]);
-                ok_bytes += BLOCK;
-                ok_ops += 1;
-                self.record_flight_op(
-                    ctx,
-                    op_start,
-                    k == 0,
-                    submit_now,
-                    self.batch.ready[i],
-                    copy,
-                    BLOCK,
-                );
-            } else {
-                // Translation fault mid-chain (or a chain fault): the
-                // sequential path re-fmaps and retries, or surfaces the
-                // program's failure.
-                retry_bytes +=
-                    self.pread_chain(ctx, fd, prog, chunk[i].regs, chunk[i].start, chunk[i].buf)?;
-            }
-        }
-        if self.batch.comps.len() < chunk.len() {
-            // Lost CQ entries (injected completion drop): re-issue the
-            // un-reaped chains on the sequential path, as a host timeout
-            // would.
-            for (i, req) in chunk.iter_mut().enumerate() {
-                let cid = self.batch.cids[i];
-                if self.batch.comps.iter().any(|c| c.cid == cid) {
-                    continue;
-                }
-                retry_bytes += self.pread_chain(ctx, fd, prog, req.regs, req.start, req.buf)?;
-            }
-        }
-        if copy_total > Nanos::ZERO {
-            ctx.delay(copy_total);
-        }
-        // ordering: Relaxed — monotonic stats counter; read only for
-        // reporting, publishes no other memory.
-        self.proc.direct_ops.fetch_add(ok_ops, Ordering::Relaxed);
-        Ok(ok_bytes + retry_bytes)
+        self.batch_flights(ctx, fd, prog, reqs)
     }
 
     /// `pwrite()`: overwrites go directly to the device; appends are
@@ -1530,59 +1414,31 @@ impl UserThread {
         offset: u64,
         scratch: &mut OpScratch,
     ) -> SysResult<usize> {
-        let Some(mut vba) = entry.state.lock().vba else {
+        let Some(vba) = entry.state.lock().vba else {
             return Err(Errno::Inval);
         };
-        let policy = self.proc.io_policy();
-        let mut attempts = 0;
-        loop {
+        let direct = self.retry_direct(ctx, entry, vba, |t, ctx, vba| {
             let mut pos = 0u64;
-            let mut ok = true;
             while pos < data.len() as u64 {
-                let span = (data.len() as u64 - pos).min(self.dma.len() as u64);
-                let copy = self.cost().user_copy(span);
+                let span = (data.len() as u64 - pos).min(t.dma.len() as u64);
+                let copy = t.cost().user_copy(span);
                 ctx.delay(copy);
                 scratch.user_copy += copy;
-                self.dma
-                    .write(0, &data[pos as usize..(pos + span) as usize]);
-                match self.direct_io(
-                    ctx,
-                    fd,
-                    entry,
-                    vba.offset(offset + pos),
-                    span,
-                    true,
-                    scratch,
-                )? {
+                t.dma.write(0, &data[pos as usize..(pos + span) as usize]);
+                let at = vba.offset(offset + pos);
+                match t.direct_io(ctx, fd, entry, write_at(at, span), scratch)? {
                     DirectIo::Done => pos += span,
-                    DirectIo::Revoked => {
-                        return self.kernel_pwrite(ctx, fd, data, offset, scratch);
-                    }
-                    DirectIo::Fault => {
-                        ok = false;
-                        break;
-                    }
+                    io => return Ok(io),
                 }
             }
-            if ok {
-                // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
-                self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
-                return Ok(data.len());
-            }
-            attempts += 1;
-            if attempts >= policy.max_attempts {
-                return self.kernel_pwrite(ctx, fd, data, offset, scratch);
-            }
-            // Pick up the VBA the fault handler re-fmapped (see
-            // pread_inner): the old mapping may be gone entirely.
-            match entry.state.lock().vba {
-                Some(v) => vba = v,
-                None => return self.kernel_pwrite(ctx, fd, data, offset, scratch),
-            }
-            if policy.retry_backoff > Nanos::ZERO {
-                ctx.delay(policy.retry_backoff);
-            }
+            Ok(DirectIo::Done)
+        })?;
+        if !direct {
+            return self.kernel_pwrite(ctx, fd, data, offset, scratch);
         }
+        // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
+        self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
+        Ok(data.len())
     }
 
     /// Append handling: kernel route, or direct overwrite of
@@ -1620,7 +1476,7 @@ impl UserThread {
             ctx.delay(copy);
             scratch.user_copy += copy;
             self.dma.write(0, data);
-            match self.direct_io(ctx, fd, entry, vba.offset(offset), len, true, scratch)? {
+            match self.direct_io(ctx, fd, entry, write_at(vba.offset(offset), len), scratch)? {
                 DirectIo::Done => {
                     {
                         let mut s = entry.state.lock();
@@ -1730,7 +1586,7 @@ impl UserThread {
         let start = offset - offset % SECTOR_SIZE;
         let span = (offset + data.len() as u64).div_ceil(SECTOR_SIZE) * SECTOR_SIZE - start;
         // Read old sectors.
-        match self.direct_io(ctx, fd, entry, vba.offset(start), span, false, scratch)? {
+        match self.direct_io(ctx, fd, entry, read_at(vba.offset(start), span), scratch)? {
             DirectIo::Done => {}
             _ => {
                 return self.kernel_pwrite(ctx, fd, data, offset, scratch);
@@ -1742,7 +1598,7 @@ impl UserThread {
         scratch.user_copy += copy;
         self.dma.write((offset - start) as usize, data);
         // Write back.
-        match self.direct_io(ctx, fd, entry, vba.offset(start), span, true, scratch)? {
+        match self.direct_io(ctx, fd, entry, write_at(vba.offset(start), span), scratch)? {
             DirectIo::Done => {
                 // ordering: Relaxed — monotonic stats counter; read only for reporting, publishes no other memory.
                 self.proc.direct_ops.fetch_add(1, Ordering::Relaxed);
@@ -1838,63 +1694,42 @@ impl UserThread {
         {
             self.async_staging = Some(DmaBuffer::alloc(self.proc.system.mem(), data.len()));
         }
-        let first_try = {
-            let dma = self
+        let cmd = write_at(vba.offset(offset), len);
+        let submit = |t: &Self, now| {
+            let dma = t
                 .async_staging
                 .as_ref()
                 .expect("staging buffer just ensured");
-            dma.write(0, data);
-            let dev = self.proc.system.device();
-            let cmd = Command::write(
-                BlockAddr::Vba(vba.offset(offset)),
-                (len / SECTOR_SIZE) as u32,
-                dma,
-            );
-            dev.submit(self.qid, cmd, ctx.now())
+            t.proc.system.device().submit(t.qid, cmd(dma), now)
         };
-        let cid = match first_try {
+        self.async_staging
+            .as_ref()
+            .expect("staging buffer just ensured")
+            .write(0, data);
+        let cid = match submit(self, ctx.now()) {
             Ok(c) => c,
             Err(_) => {
                 // Queue full: drain and retry once, then give up to sync.
                 self.flush_writes(ctx, fd)?;
-                let retry = {
-                    let dma = self
-                        .async_staging
-                        .as_ref()
-                        .expect("staging buffer just ensured");
-                    let dev = self.proc.system.device();
-                    let cmd = Command::write(
-                        BlockAddr::Vba(vba.offset(offset)),
-                        (len / SECTOR_SIZE) as u32,
-                        dma,
-                    );
-                    dev.submit(self.qid, cmd, ctx.now())
-                };
-                match retry {
+                match submit(self, ctx.now()) {
                     Ok(c) => c,
                     Err(_) => return self.pwrite_inner(ctx, fd, data, offset, scratch),
                 }
             }
         };
         let dev = self.proc.system.device();
-        let ready = match dev.ready_time(self.qid, cid) {
-            Some(t) => t,
-            None => {
-                // Swallowed CQ entry: re-issue synchronously (idempotent,
-                // same target blocks), as a host timeout would.
-                return self.pwrite_inner(ctx, fd, data, offset, scratch);
-            }
+        let reaped = dev
+            .ready_time(self.qid, cid)
+            .and_then(|t| dev.reap_at(self.qid, cid, t));
+        let Some(comp) = reaped else {
+            // Lost CQ entry (injected completion drop): abort the command
+            // to free its queue slot, then re-issue on the synchronous
+            // path, as a host timeout would. The write is idempotent: it
+            // targets the same blocks.
+            dev.abort(self.qid, &[cid]);
+            return self.pwrite_inner(ctx, fd, data, offset, scratch);
         };
-        let comp = match dev.reap_at(self.qid, cid, ready) {
-            Some(c) => c,
-            None => {
-                // Lost CQ entry (injected completion drop): the host-side
-                // timeout re-issues on the synchronous path, which is
-                // idempotent — the write targets the same blocks.
-                ctx.wait_until(ready);
-                return self.pwrite_inner(ctx, fd, data, offset, scratch);
-            }
-        };
+        let ready = comp.ready_at;
         self.note_pressure(comp.pressure);
         scratch.device_span += ready.saturating_sub(ctx.now());
         if !comp.status.is_ok() {

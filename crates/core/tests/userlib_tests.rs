@@ -617,6 +617,46 @@ fn batch_mid_flight_fault_demotes_only_faulted_slots() {
         let (direct2, fallback2) = proc.op_counts();
         assert_eq!(fallback2, fallback, "follow-up batch must not fall back");
         assert_eq!(direct2, direct + 4, "follow-up batch stays direct");
+
+        // The same slots as one-hop chains: hole chains fault mid-flight
+        // and demote to the sequential chain path, which ends in host
+        // interpretation over one kernel read each.
+        let prog = sys
+            .kernel()
+            .sys_prog_load(ctx, proc.pid(), vec![bypassd_offload::Op::Return])
+            .unwrap();
+        let mut blocks: Vec<Vec<u8>> = (0..8).map(|_| vec![0xFFu8; 512]).collect();
+        {
+            let mut chains: Vec<bypassd::ChainReq<'_>> = blocks
+                .iter_mut()
+                .zip(offsets.iter())
+                .map(|(buf, &(start, _))| bypassd::ChainReq {
+                    start,
+                    regs: [0; bypassd_offload::NUM_REGS],
+                    buf,
+                })
+                .collect();
+            let n = t.pread_chain_batch(ctx, fd, prog, &mut chains).unwrap();
+            assert_eq!(n, 8 * 512, "every chain must complete");
+        }
+        for (k, (buf, &(off, written))) in blocks.iter().zip(offsets.iter()).enumerate() {
+            let want = if written { 0xAB } else { 0x00 };
+            assert!(
+                buf.iter().all(|&b| b == want),
+                "chain {k} (start {off}, written={written}) has wrong bytes"
+            );
+        }
+        let (direct3, fallback3) = proc.op_counts();
+        assert_eq!(
+            fallback3,
+            fallback2 + 4,
+            "each hole chain demotes to one kernel read"
+        );
+        assert_eq!(
+            direct3,
+            direct2 + 4,
+            "written chains stay direct within the flight"
+        );
         t.close(ctx, fd).unwrap();
     });
 }

@@ -487,8 +487,14 @@ impl NvmeDevice {
         let mut completion = self.process(state, qid, tenant, pasid, cmd, now);
         // Injected completion loss: the command executed but its CQ entry
         // never lands. The cid's slot stays claimed — exactly the host-
-        // visible symptom of a lost interrupt + lost CQ write.
+        // visible symptom of a lost interrupt + lost CQ write — until the
+        // host aborts it.
         if state.faults.is_active() && state.faults.take_completion_drop() {
+            state
+                .queues
+                .get_mut(&qid)
+                .expect("queue cannot vanish while the state lock is held")
+                .lose(cid);
             return Ok(cid);
         }
         // Depth pressure: with QoS on, flag completions once the queue
@@ -1174,6 +1180,18 @@ impl NvmeDevice {
     /// Completion time of command `cid` on `qid`, if posted.
     pub fn ready_time(&self, qid: QueueId, cid: u16) -> Option<Nanos> {
         self.state.lock().queues.get(&qid)?.ready_time(cid)
+    }
+
+    /// Host abort (NVMe Abort) of every command in `cids` whose
+    /// completion was lost: frees their queue slots at zero modeled
+    /// cost, so a host that re-issues them does not leak depth. Commands
+    /// with a posted or reaped completion are left alone.
+    pub fn abort(&self, qid: QueueId, cids: &[u16]) {
+        if let Some(q) = self.state.lock().queues.get_mut(&qid) {
+            for &cid in cids {
+                q.abort(cid);
+            }
+        }
     }
 
     /// Reaps the completion for `cid` if visible at `now`.

@@ -88,6 +88,9 @@ pub(crate) struct QueuePair {
     stale: usize,
     /// Commands submitted but not yet reaped.
     pub inflight: usize,
+    /// Claimed cids whose completion was swallowed (injected loss): each
+    /// holds a slot until the host aborts it.
+    lost: Vec<u16>,
     next_cid: u16,
 }
 
@@ -104,6 +107,7 @@ impl QueuePair {
             heap: BinaryHeap::new(),
             stale: 0,
             inflight: 0,
+            lost: Vec::new(),
             next_cid: 0,
         }
     }
@@ -125,6 +129,22 @@ impl QueuePair {
         let cid = self.next_cid;
         self.next_cid = self.next_cid.wrapping_add(1);
         cid
+    }
+
+    /// Records that claimed command `cid` will never post a completion.
+    pub(crate) fn lose(&mut self, cid: u16) {
+        self.lost.push(cid);
+    }
+
+    /// Host abort of a claimed command whose completion was lost: frees
+    /// its slot. False (and no change) for any other cid.
+    pub(crate) fn abort(&mut self, cid: u16) -> bool {
+        let Some(i) = self.lost.iter().position(|&c| c == cid) else {
+            return false;
+        };
+        self.lost.swap_remove(i);
+        self.inflight -= 1;
+        true
     }
 
     /// Posts a completion.
@@ -272,6 +292,21 @@ mod tests {
             q.claim().is_none(),
             "depth-2 queue accepted a third command"
         );
+    }
+
+    #[test]
+    fn abort_frees_only_lost_slots() {
+        let mut q = QueuePair::new(None, 2);
+        let done = q.claim().unwrap();
+        let lost = q.claim().unwrap();
+        q.post(ok(done, 10));
+        q.lose(lost);
+        assert!(q.claim().is_none());
+        assert!(!q.abort(done), "a posted completion cannot be aborted");
+        assert!(q.abort(lost));
+        assert!(!q.abort(lost), "a cid is aborted at most once");
+        assert_eq!(q.inflight, 1);
+        assert!(q.claim().is_some(), "the aborted slot is free again");
     }
 
     #[test]

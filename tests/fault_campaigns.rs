@@ -234,6 +234,118 @@ fn dropped_completion_is_recovered_by_resubmission() {
             );
         }
         assert_eq!(p.stats().completions_dropped, 1, "drop never fired");
+
+        // The same loss inside a chain flight: each one-hop chain returns
+        // its start block, and the lost one is re-issued.
+        let prog = sys
+            .kernel()
+            .sys_prog_load(ctx, proc.pid(), vec![bypassd_offload::Op::Return])
+            .unwrap();
+        p.drop_completions(vec![3]);
+        let mut blocks: Vec<Vec<u8>> = vec![vec![0u8; 512]; 8];
+        let mut chains: Vec<bypassd::ChainReq> = blocks
+            .iter_mut()
+            .enumerate()
+            .map(|(i, b)| bypassd::ChainReq {
+                start: i as u64 * 4096,
+                regs: [0; bypassd_offload::NUM_REGS],
+                buf: b.as_mut_slice(),
+            })
+            .collect();
+        let n = t.pread_chain_batch(ctx, fd, prog, &mut chains).unwrap();
+        assert_eq!(n, 8 * 512);
+        drop(chains);
+        for (i, b) in blocks.iter().enumerate() {
+            assert!(
+                b.iter().all(|&x| x == i as u8 + 1),
+                "lost-completion chain {i} returned wrong data"
+            );
+        }
+        assert_eq!(p.stats().completions_dropped, 2, "chain drop never fired");
+    });
+    sim.run();
+}
+
+/// Every completion of a full-window flight is lost: the flight must
+/// abort the lost commands to free their queue slots before it re-issues
+/// them, or the sequential re-issue finds the queue full — and every
+/// later full-window flight would be pushed off the batched path. The
+/// same holds for lost non-blocking write completions.
+#[test]
+fn lost_completions_do_not_leak_queue_slots() {
+    let plane = Arc::new(FaultPlane::new());
+    let sys = System::builder()
+        .capacity(1 << 30)
+        .fault_plane(Arc::clone(&plane))
+        .build();
+    sys.fs().populate("/lossy", 64 * 4096, 0).unwrap();
+    for b in 0..8u64 {
+        let (segs, _) = sys
+            .fs()
+            .resolve(sys.fs().lookup("/lossy").unwrap(), b * 4096, 4096)
+            .unwrap();
+        sys.device()
+            .write_raw(segs[0].0.unwrap(), &[b as u8 + 1; 4096]);
+    }
+    plane.drop_completions((0..8).collect());
+    let p = Arc::clone(&plane);
+    let sim = Simulation::new();
+    sim.spawn("app", move |ctx| {
+        let proc = UserProcess::start(&sys, 0, 0);
+        let mut t = proc.thread_with(8, 1 << 20);
+        let fd = t.open(ctx, "/lossy", true).unwrap();
+        let batch = |t: &mut bypassd::UserThread, ctx: &mut bypassd_sim::ActorCtx| {
+            let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; 4096]; 8];
+            let mut reqs: Vec<bypassd::ReadReq> = bufs
+                .iter_mut()
+                .enumerate()
+                .map(|(i, b)| bypassd::ReadReq {
+                    offset: i as u64 * 4096,
+                    buf: b.as_mut_slice(),
+                })
+                .collect();
+            assert_eq!(t.pread_batch(ctx, fd, &mut reqs).unwrap(), 8 * 4096);
+            drop(reqs);
+            bufs
+        };
+        let mut one = vec![0u8; 4096];
+        let mut flight_ns = Vec::new();
+        for round in 0..2 {
+            let t0 = ctx.now();
+            for (i, b) in batch(&mut t, ctx).iter().enumerate() {
+                assert!(
+                    b.iter().all(|&x| x == i as u8 + 1),
+                    "round {round}: read {i} returned wrong data"
+                );
+            }
+            flight_ns.push((ctx.now() - t0).as_nanos());
+        }
+        let t0 = ctx.now();
+        t.pread(ctx, fd, &mut one, 0).unwrap();
+        let single_ns = (ctx.now() - t0).as_nanos();
+        assert!(
+            flight_ns[1] < 4 * single_ns,
+            "second flight took {}ns vs {single_ns}ns per single read: not batched",
+            flight_ns[1]
+        );
+        assert_eq!(p.stats().completions_dropped, 8, "drops never fired");
+        let (direct, fallback) = proc.op_counts();
+        assert_eq!(fallback, 0, "no read left the direct path");
+        assert_eq!(direct, 17, "8 re-issued reads, 8 batched, 1 single");
+
+        // A full queue's worth of lost non-blocking write completions.
+        p.drop_completions((0..8).collect());
+        for i in 0..8u64 {
+            let data = vec![i as u8 + 0x40; 4096];
+            assert_eq!(t.pwrite_async(ctx, fd, &data, i * 4096).unwrap(), 4096);
+        }
+        assert_eq!(p.stats().completions_dropped, 16, "write drops never fired");
+        for (i, b) in batch(&mut t, ctx).iter().enumerate() {
+            assert!(
+                b.iter().all(|&x| x == i as u8 + 0x40),
+                "read {i} after lost write completions returned wrong data"
+            );
+        }
     });
     sim.run();
 }
