@@ -53,4 +53,4 @@ pub use bypassd_trace::{
 pub use crashlab::{CrashLab, CrashWorkload};
 pub use fleet::{FleetBuilder, FleetConfig, FleetReport, LaneReport};
 pub use system::{System, SystemBuilder};
-pub use userlib::{ChainReq, IoPolicy, ReadReq, UserProcess, UserThread};
+pub use userlib::{ChainReq, ReadReq, UserProcess, UserThread};

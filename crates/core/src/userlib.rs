@@ -7,7 +7,7 @@
 //! explanation for BypassD's flat latency up to device saturation, §6.3).
 //!
 //! Locking: the file-info table is a `RwLock` map from fd to a shared
-//! [`FileEntry`]; the data path takes the map lock only in read mode and
+//! `FileEntry`; the data path takes the map lock only in read mode and
 //! only long enough to clone the entry's `Arc`. All mutable per-file
 //! state (offset/size/flags, the partial-write ranges, the pending
 //! non-blocking writes) lives in short per-fd mutexes inside the entry,
@@ -32,36 +32,15 @@ use bypassd_trace::{IoPath, OpRecord, Recorder};
 
 use crate::system::System;
 
-/// Retry and backpressure knobs for the direct data path.
-///
-/// The defaults reproduce the historical behaviour exactly: two fault
-/// attempts before falling back to the kernel, no backoff, and no
-/// depth adaptation (the device only reports congestion pressure when
-/// the QoS subsystem is enabled, so with QoS off the adaptive state
-/// never engages).
-#[derive(Debug, Clone, Copy)]
-pub struct IoPolicy {
-    /// Direct attempts per op before falling back to the kernel path.
-    pub max_attempts: u32,
-    /// Delay inserted before re-trying a faulted direct op.
-    pub retry_backoff: Nanos,
-    /// Floor for the adaptive effective queue depth.
-    pub min_depth: usize,
-    /// Pressure-free completions required to grow the effective depth
-    /// back by one slot (the additive half of AIMD).
-    pub recover_after: u32,
-}
-
-impl Default for IoPolicy {
-    fn default() -> Self {
-        IoPolicy {
-            max_attempts: 2,
-            retry_backoff: Nanos::ZERO,
-            min_depth: 1,
-            recover_after: 16,
-        }
-    }
-}
+/// Direct attempts per op before it fails (`EIO`, media errors) or falls
+/// back to the kernel path (translation faults).
+const MAX_ATTEMPTS: u32 = 2;
+/// Floor of the adaptive effective queue depth.
+const MIN_DEPTH: usize = 1;
+/// Pressure-free completions that grow the effective depth back by one
+/// slot (the additive half of AIMD). The device reports pressure only
+/// when QoS is enabled, so with QoS off the window never shrinks.
+const RECOVER_AFTER: u32 = 16;
 
 /// Per-open state tracked by UserLib (flags, offset, size, starting VBA —
 /// §3.2). Plain scalars: reading it is a copy, not a clone.
@@ -183,7 +162,6 @@ pub struct UserProcess {
     /// fd → entry. Read-locked (shared) on the data path; write-locked
     /// only by open/close.
     files: RwLock<HashMap<Fd, Arc<FileEntry>>>,
-    io_policy: Mutex<IoPolicy>,
     direct_ops: AtomicU64,
     fallback_ops: AtomicU64,
     recorder: Arc<Recorder>,
@@ -197,7 +175,6 @@ impl UserProcess {
             system: system.clone(),
             pid,
             files: RwLock::new(HashMap::new()),
-            io_policy: Mutex::new(IoPolicy::default()),
             direct_ops: AtomicU64::new(0),
             fallback_ops: AtomicU64::new(0),
             recorder: Arc::clone(system.recorder()),
@@ -224,7 +201,6 @@ impl UserProcess {
             system: system.clone(),
             pid,
             files: RwLock::new(HashMap::new()),
-            io_policy: Mutex::new(IoPolicy::default()),
             direct_ops: AtomicU64::new(0),
             fallback_ops: AtomicU64::new(0),
             recorder: Arc::clone(system.recorder()),
@@ -272,17 +248,6 @@ impl UserProcess {
             async_staging: None,
             batch: BatchScratch::with_capacity(queue_depth),
         }
-    }
-
-    /// Overrides the retry/backpressure policy for all of this process's
-    /// threads.
-    pub fn set_io_policy(&self, policy: IoPolicy) {
-        *self.io_policy.lock() = policy;
-    }
-
-    /// The retry/backpressure policy in force.
-    pub fn io_policy(&self) -> IoPolicy {
-        *self.io_policy.lock()
     }
 
     /// (direct I/Os, kernel-fallback I/Os) completed so far.
@@ -592,18 +557,17 @@ impl UserThread {
     }
 
     /// AIMD reaction to the device's congestion bit: halve the window on
-    /// pressure, creep back one slot per `recover_after` clean
+    /// pressure, creep back one slot per [`RECOVER_AFTER`] clean
     /// completions. A no-op while the window is full and pressure never
     /// arrives (QoS disabled), keeping the default path untouched.
     fn note_pressure(&mut self, pressure: bool) {
         if pressure {
-            let policy = self.proc.io_policy();
             self.pressure_events += 1;
-            self.effective_depth = (self.effective_depth / 2).max(policy.min_depth);
+            self.effective_depth = (self.effective_depth / 2).max(MIN_DEPTH);
             self.clean_streak = 0;
         } else if self.effective_depth < self.queue_depth {
             self.clean_streak += 1;
-            if self.clean_streak >= self.proc.io_policy().recover_after {
+            if self.clean_streak >= RECOVER_AFTER {
                 self.effective_depth += 1;
                 self.clean_streak = 0;
             }
@@ -727,7 +691,6 @@ impl UserThread {
     ) -> SysResult<DirectIo> {
         ctx.delay(self.cost().userlib_overhead);
         scratch.userlib += self.cost().userlib_overhead;
-        let policy = self.proc.io_policy();
         let mut media_retries = 0u32;
         loop {
             let submit = ctx.now();
@@ -747,13 +710,10 @@ impl UserThread {
                 NvmeStatus::MediaError => {
                     // Transient media errors are retried in place (the
                     // kernel never sees them on the direct path); after
-                    // `max_attempts` the op fails with EIO.
+                    // `MAX_ATTEMPTS` the op fails with EIO.
                     media_retries += 1;
-                    if media_retries >= policy.max_attempts {
+                    if media_retries >= MAX_ATTEMPTS {
                         return Err(Errno::Io);
-                    }
-                    if policy.retry_backoff > Nanos::ZERO {
-                        ctx.delay(policy.retry_backoff);
                     }
                 }
                 // Program `Fail`, engine trap, or invalid submission.
@@ -768,7 +728,7 @@ impl UserThread {
     /// VBA: a sibling thread's close() unmaps the whole per-process
     /// mapping, and retrying the stale one would fault forever. Returns
     /// false once the op belongs on the kernel path: revoked, faulted
-    /// `max_attempts` times (e.g. a hole), or left unmapped.
+    /// `MAX_ATTEMPTS` times (e.g. a hole), or left unmapped.
     fn retry_direct(
         &mut self,
         ctx: &mut ActorCtx,
@@ -776,7 +736,6 @@ impl UserThread {
         mut vba: Vba,
         mut attempt: impl FnMut(&mut Self, &mut ActorCtx, Vba) -> SysResult<DirectIo>,
     ) -> SysResult<bool> {
-        let policy = self.proc.io_policy();
         let mut attempts = 0;
         loop {
             match attempt(self, ctx, vba)? {
@@ -785,15 +744,12 @@ impl UserThread {
                 DirectIo::Fault => {}
             }
             attempts += 1;
-            if attempts >= policy.max_attempts {
+            if attempts >= MAX_ATTEMPTS {
                 return Ok(false);
             }
             match entry.state.lock().vba {
                 Some(v) => vba = v,
                 None => return Ok(false),
-            }
-            if policy.retry_backoff > Nanos::ZERO {
-                ctx.delay(policy.retry_backoff);
             }
         }
     }

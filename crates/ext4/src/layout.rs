@@ -303,11 +303,14 @@ pub fn encode_extent_block(extents: &[Extent], next: u64) -> Vec<u8> {
 
 /// Decodes an overflow extent block; returns `(extents, next_block)`.
 pub fn decode_extent_block(buf: &[u8]) -> (Vec<Extent>, u64) {
-    let count = u64::from_le_bytes(buf[0..8].try_into().unwrap()) as usize;
+    // The on-disk count is untrusted: a torn or hostile block may claim
+    // anything, so it never sizes an allocation beyond one block's worth.
+    let count = u64::from_le_bytes(buf[0..8].try_into().unwrap());
+    let count = count.min(EXTENTS_PER_BLOCK as u64) as usize;
     let next = u64::from_le_bytes(buf[8..16].try_into().unwrap());
     let mut extents = Vec::with_capacity(count);
     let mut pos = 16;
-    for _ in 0..count.min(EXTENTS_PER_BLOCK) {
+    for _ in 0..count {
         extents.push(Extent::decode(&buf[pos..pos + Extent::BYTES]));
         pos += Extent::BYTES;
     }
@@ -317,6 +320,15 @@ pub fn decode_extent_block(buf: &[u8]) -> (Vec<Extent>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn extent_block_with_hostile_count_decodes_one_block_at_most() {
+        let mut block = encode_extent_block(&[], 7);
+        block[0..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let (extents, next) = decode_extent_block(&block);
+        assert!(extents.len() <= EXTENTS_PER_BLOCK);
+        assert_eq!(next, 7);
+    }
 
     #[test]
     fn superblock_roundtrip() {

@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 use bypassd_ext4::fmap::{FmapCost, MapTarget, FRAGMENT_SPAN};
 use bypassd_ext4::layout::BLOCK_SIZE;
 use bypassd_ext4::{Ext4, Ext4Error, Ext4Options};
+use bypassd_faults::plane::{Cut, WriteKind};
 use bypassd_hw::iommu::{AccessKind, Iommu};
 use bypassd_hw::page_table::AddressSpace;
 use bypassd_hw::types::{DevId, Lba, Pasid, PAGE_SIZE};
@@ -184,13 +185,43 @@ fn mount_roundtrip_preserves_tree() {
     assert!(segs[0].0.is_some());
 }
 
+/// Runs `ops` on a fresh fixture with power cut right after the last
+/// commit→checkpoint barrier they issue: the last transaction's commit
+/// record is on media, its home-location writes are not. A first fixture
+/// records the write schedule to find that barrier; a second, identical
+/// one replays `ops` under the cut. Remount the result to recover.
+fn crash_after_last_commit(ops: impl Fn(&Ext4)) -> Fixture {
+    let rec = fixture();
+    let plane = rec.dev.fault_plane();
+    plane.reset();
+    plane.start_recording();
+    ops(&rec.fs);
+    let barrier = plane
+        .take_schedule()
+        .iter()
+        .rev()
+        .find(|e| e.kind == WriteKind::Flush)
+        .expect("ops committed no transaction")
+        .seq;
+
+    let f = fixture();
+    let plane = f.dev.fault_plane();
+    plane.reset();
+    plane.arm(Cut::at_seq(barrier + 1));
+    ops(&f.fs);
+    assert!(
+        plane.stats().writes_dropped > 0,
+        "the cut dropped no home-location write"
+    );
+    f
+}
+
 #[test]
 fn crash_recovery_replays_journal() {
-    let f = fixture();
-    f.fs.create("/before", 0o644, 0, 0).unwrap();
-    // Crash: home writes stop reaching the device, journal writes do.
-    f.fs.crash();
-    f.fs.create("/after", 0o644, 0, 0).unwrap();
+    let f = crash_after_last_commit(|fs| {
+        fs.create("/before", 0o644, 0, 0).unwrap();
+        fs.create("/after", 0o644, 0, 0).unwrap();
+    });
     drop(f.fs);
     let fs2 = Ext4::mount(&f.dev, &f.mem).unwrap();
     assert!(fs2.lookup("/before").is_ok());
@@ -202,10 +233,10 @@ fn crash_recovery_replays_journal() {
 
 #[test]
 fn crash_recovery_preserves_allocations() {
-    let f = fixture();
-    let ino = f.fs.create("/f", 0o644, 0, 0).unwrap();
-    f.fs.crash();
-    f.fs.allocate(ino, 0, 20 * BLOCK_SIZE).unwrap();
+    let f = crash_after_last_commit(|fs| {
+        let ino = fs.create("/f", 0o644, 0, 0).unwrap();
+        fs.allocate(ino, 0, 20 * BLOCK_SIZE).unwrap();
+    });
     drop(f.fs);
     let fs2 = Ext4::mount(&f.dev, &f.mem).unwrap();
     let ino2 = fs2.lookup("/f").unwrap();

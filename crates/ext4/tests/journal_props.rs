@@ -168,7 +168,6 @@ proptest! {
             cut_seq: u64::MAX,
             drop_before: vec![lost],
             tear: None,
-            persist_ranges: Vec::new(),
         });
 
         let mut j = Journal::new(Arc::clone(&dev), 10, 600);
@@ -206,7 +205,7 @@ proptest! {
             Vec::new()
         };
         let cut_seq = if tear.is_some() { cut_seq + 1 } else { cut_seq };
-        plane.arm(Cut { cut_seq, drop_before, tear, persist_ranges: Vec::new() });
+        plane.arm(Cut { cut_seq, drop_before, tear });
 
         let mut j = Journal::new(Arc::clone(&dev), 10, 600);
         commit_workload(&mut j);
@@ -249,7 +248,6 @@ proptest! {
             cut_seq,
             drop_before: Vec::new(),
             tear: None,
-            persist_ranges: Vec::new(),
         });
         let mut j = Journal::new(Arc::clone(&dev), 10, 600);
         commit_workload(&mut j);
@@ -263,7 +261,7 @@ proptest! {
         prop_assert_eq!(once, twice, "second replay changed the media");
     }
 
-    /// End-to-end: random namespace activity, legacy crash, then two
+    /// End-to-end: random namespace activity, a power cut, then two
     /// consecutive mounts produce bit-identical media (mount-level
     /// replay idempotence).
     #[test]
@@ -297,7 +295,8 @@ proptest! {
                 }
             }
         }
-        fs.crash();
+        let plane = dev.fault_plane();
+        plane.arm(Cut::at_seq(plane.seq()));
         drop(fs);
 
         let m1 = Ext4::mount(&dev, &mem).unwrap();

@@ -82,13 +82,11 @@ impl CrashPoint {
                     keep_sectors: *keep_sectors,
                     scatter_salt: *scatter_salt,
                 }),
-                persist_ranges: Vec::new(),
             },
             CrashPoint::Reorder { cut_seq, drop } => Cut {
                 cut_seq: *cut_seq,
                 drop_before: drop.clone(),
                 tear: None,
-                persist_ranges: Vec::new(),
             },
         }
     }

@@ -26,11 +26,9 @@
 //! after each `fsync` returns) and recovery checks may assert exactly the
 //! marks below the horizon — the fsync contract under power loss.
 //!
-//! ## Legacy `Ext4::crash()` shim
-//!
-//! The old coarse crash switch let journal writes persist while dropping
-//! home-location writes. `persist_ranges` reproduces that: LBA ranges that
-//! keep persisting even after the cut fires.
+//! Power loss has exactly two triggers: [`FaultPlane::arm`] with a [`Cut`],
+//! or [`FaultPlane::cut_at_time`], which becomes a clean cut at the first
+//! write at or past a virtual instant.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -112,9 +110,6 @@ pub struct Cut {
     pub drop_before: Vec<u64>,
     /// At most one torn write.
     pub tear: Option<Tear>,
-    /// Sector ranges `[start, end)` whose writes persist even after the
-    /// cut fires (legacy `Ext4::crash()` journal-survives semantics).
-    pub persist_ranges: Vec<(Lba, Lba)>,
 }
 
 impl Cut {
@@ -137,12 +132,6 @@ impl Cut {
             h = h.min(t.seq);
         }
         h
-    }
-
-    fn in_persist_range(&self, lba: Lba, sectors: u32) -> bool {
-        self.persist_ranges
-            .iter()
-            .any(|&(s, e)| lba >= s && Lba(lba.0 + u64::from(sectors)) <= e)
     }
 }
 
@@ -202,6 +191,17 @@ impl PlaneInner {
     fn fire_cut(&mut self) {
         self.powered_off = true;
         self.stats.cut_fired = true;
+    }
+
+    /// Turns a time-armed cut into a clean cut at `seq` once the
+    /// virtual-time high-water mark has reached its deadline.
+    fn poll_time_cut(&mut self, seq: u64) {
+        if self.cut_at_time.is_some_and(|t| self.vtime >= t) && !self.powered_off {
+            self.horizon = Some(seq);
+            self.cut_at_time = None;
+            self.cut = Some(Cut::at_seq(seq));
+            self.fire_cut();
+        }
     }
 }
 
@@ -267,26 +267,8 @@ impl FaultPlane {
         self.activate();
         let mut g = self.inner.lock();
         g.cut_at_time = Some(t);
-        if g.vtime >= t {
-            g.horizon = Some(g.seq);
-            g.fire_cut();
-        }
-    }
-
-    /// Cuts power immediately, except writes inside `persist_ranges`
-    /// keep persisting — the legacy `Ext4::crash()` semantics (journal
-    /// region survives, home-location writes vanish).
-    pub fn cut_now_except(&self, persist_ranges: Vec<(Lba, Lba)>) {
-        self.activate();
-        let mut g = self.inner.lock();
-        g.horizon = Some(g.seq);
-        g.cut = Some(Cut {
-            cut_seq: g.seq,
-            drop_before: Vec::new(),
-            tear: None,
-            persist_ranges,
-        });
-        g.fire_cut();
+        let seq = g.seq;
+        g.poll_time_cut(seq);
     }
 
     /// Restores power: disarms any cut and lets writes persist again.
@@ -396,54 +378,27 @@ impl FaultPlane {
 
         // A time-armed cut converts to a seq cut at the first write at or
         // past the deadline.
-        if let Some(t) = g.cut_at_time {
-            if g.vtime >= t && !g.powered_off {
-                g.horizon = Some(seq);
-                g.fire_cut();
-                g.cut_at_time = None;
-                g.cut = Some(Cut::at_seq(seq));
-            }
-        }
+        g.poll_time_cut(seq);
 
         if kind == WriteKind::Flush {
             return WriteVerdict::Persist; // no data; barrier only
         }
-
-        let verdict = match &g.cut {
-            None => {
-                if g.powered_off {
-                    WriteVerdict::Drop
-                } else {
-                    WriteVerdict::Persist
-                }
-            }
-            Some(cut) => {
-                if seq >= cut.cut_seq {
-                    if !g.powered_off {
-                        g.fire_cut();
-                    }
-                    if g.cut
-                        .as_ref()
-                        .is_some_and(|c| c.in_persist_range(lba, sectors))
-                    {
-                        WriteVerdict::Persist
-                    } else {
-                        WriteVerdict::Drop
-                    }
-                } else if cut.drop_before.binary_search(&seq).is_ok() {
-                    WriteVerdict::Drop
-                } else if let Some(t) = cut.tear.filter(|t| t.seq == seq) {
-                    let mask: Vec<bool> = (0..sectors).map(|i| t.keeps(i, sectors)).collect();
-                    WriteVerdict::Partial(mask)
-                } else {
-                    WriteVerdict::Persist
-                }
-            }
+        // Power is out only while a cut is armed: both triggers set one.
+        let Some(cut) = &g.cut else {
+            return WriteVerdict::Persist;
         };
-        match &verdict {
-            WriteVerdict::Drop => g.stats.writes_dropped += 1,
-            WriteVerdict::Partial(_) => g.stats.writes_torn += 1,
-            WriteVerdict::Persist => {}
+        let past_cut = seq >= cut.cut_seq;
+        let verdict = if past_cut || cut.drop_before.binary_search(&seq).is_ok() {
+            g.stats.writes_dropped += 1;
+            WriteVerdict::Drop
+        } else if let Some(t) = cut.tear.filter(|t| t.seq == seq) {
+            g.stats.writes_torn += 1;
+            WriteVerdict::Partial((0..sectors).map(|i| t.keeps(i, sectors)).collect())
+        } else {
+            return WriteVerdict::Persist;
+        };
+        if past_cut {
+            g.fire_cut();
         }
         verdict
     }
@@ -462,21 +417,6 @@ impl FaultPlane {
     /// high-water mark.
     pub fn note_barrier(&self) {
         let _ = self.on_write(Lba(0), 0, None, WriteKind::Flush);
-    }
-
-    /// Advances the virtual-time high-water mark without a write.
-    pub fn note_time(&self, now: Nanos) {
-        let mut g = self.inner.lock();
-        g.vtime = g.vtime.max(now);
-        if let Some(t) = g.cut_at_time {
-            if g.vtime >= t && !g.powered_off {
-                g.horizon = Some(g.seq);
-                g.fire_cut();
-                g.cut_at_time = None;
-                let seq = g.seq;
-                g.cut = Some(Cut::at_seq(seq));
-            }
-        }
     }
 
     // --------------------------------------------- media errors and drops
@@ -584,7 +524,6 @@ mod tests {
                 keep_sectors: 3,
                 scatter_salt: 0,
             }),
-            persist_ranges: Vec::new(),
         });
         match ev(&p, 0, 8) {
             WriteVerdict::Partial(mask) => {
@@ -621,7 +560,6 @@ mod tests {
             cut_seq: 4,
             drop_before: vec![1, 3],
             tear: None,
-            persist_ranges: Vec::new(),
         });
         assert_eq!(ev(&p, 0, 8), WriteVerdict::Persist); // 0
         assert_eq!(ev(&p, 8, 8), WriteVerdict::Drop); // 1 in cache
@@ -629,17 +567,6 @@ mod tests {
         assert_eq!(ev(&p, 24, 8), WriteVerdict::Drop); // 3 in cache
         assert_eq!(ev(&p, 32, 8), WriteVerdict::Drop); // 4: cut
         assert_eq!(p.horizon(), Some(1));
-    }
-
-    #[test]
-    fn persist_ranges_survive_cut() {
-        let p = FaultPlane::new();
-        p.reset();
-        p.cut_now_except(vec![(Lba(100), Lba(200))]);
-        assert_eq!(ev(&p, 0, 8), WriteVerdict::Drop);
-        assert_eq!(ev(&p, 100, 8), WriteVerdict::Persist);
-        assert_eq!(ev(&p, 196, 8), WriteVerdict::Drop); // straddles end
-        assert_eq!(ev(&p, 192, 8), WriteVerdict::Persist);
     }
 
     #[test]

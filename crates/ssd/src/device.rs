@@ -236,6 +236,54 @@ struct DevState {
     faults: Arc<FaultPlane>,
 }
 
+/// What one media write stores: bytes, or zeroes.
+#[derive(Clone, Copy)]
+enum Media<'a> {
+    /// Exactly `sectors` sectors of data.
+    Data(&'a [u8]),
+    Zeroes,
+}
+
+/// The one path from a command to the media: every write (timed `Write`
+/// and `WriteZeroes`, `write_raw`, `zero_raw`) gets its fault-plane
+/// verdict here, then persists whole, not at all, or torn. An idle plane
+/// costs one relaxed load. A function over the two fields, not a
+/// `DevState` method, so the timed path can pass its staging chunk.
+fn write_media(
+    store: &mut SectorStore,
+    faults: &FaultPlane,
+    lba: Lba,
+    sectors: u64,
+    now: Option<Nanos>,
+    kind: WriteKind,
+    media: Media<'_>,
+) {
+    // Stores sectors `[first, first + n)` of this write.
+    let mut put = |first: u64, n: u64| {
+        let at = lba.advance(first);
+        match media {
+            Media::Data(d) => {
+                let b = (first * SECTOR_SIZE) as usize;
+                store.write(at, &d[b..b + (n * SECTOR_SIZE) as usize]);
+            }
+            Media::Zeroes => store.write_zeroes(at, n),
+        }
+    };
+    if faults.is_active() {
+        match faults.on_write(lba, sectors as u32, now, kind) {
+            WriteVerdict::Persist => {}
+            WriteVerdict::Drop => return,
+            WriteVerdict::Partial(mask) => {
+                for (s, _) in mask.iter().enumerate().filter(|(_, &keep)| keep) {
+                    put(s as u64, 1);
+                }
+                return;
+            }
+        }
+    }
+    put(0, sectors);
+}
+
 /// Per-command stage latencies, filled in by `process_inner` as the
 /// command crosses each pipeline step and flushed to the recorder by
 /// `process` — including on early-return error paths, which leave the
@@ -819,30 +867,15 @@ impl NvmeDevice {
                         state.io_bufs.chunk.resize(n, 0);
                     }
                     dma.read(off, &mut state.io_bufs.chunk[..n]);
-                    if state.faults.is_active() {
-                        match state
-                            .faults
-                            .on_write(lba, sectors, Some(now), WriteKind::Timed)
-                        {
-                            WriteVerdict::Persist => {
-                                state.store.write(lba, &state.io_bufs.chunk[..n]);
-                            }
-                            WriteVerdict::Drop => {}
-                            WriteVerdict::Partial(mask) => {
-                                for (s, &keep) in mask.iter().enumerate() {
-                                    if keep {
-                                        let b = s * SECTOR_SIZE as usize;
-                                        state.store.write(
-                                            lba.advance(s as u64),
-                                            &state.io_bufs.chunk[b..b + SECTOR_SIZE as usize],
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        state.store.write(lba, &state.io_bufs.chunk[..n]);
-                    }
+                    write_media(
+                        &mut state.store,
+                        &state.faults,
+                        lba,
+                        u64::from(sectors),
+                        Some(now),
+                        WriteKind::Timed,
+                        Media::Data(&state.io_bufs.chunk[..n]),
+                    );
                     off += n;
                 }
                 state.stats.writes += 1;
@@ -851,24 +884,15 @@ impl NvmeDevice {
             Opcode::WriteZeroes => {
                 for i in 0..state.io_bufs.extents.len() {
                     let (lba, sectors) = state.io_bufs.extents[i];
-                    if state.faults.is_active() {
-                        match state
-                            .faults
-                            .on_write(lba, sectors, Some(now), WriteKind::Timed)
-                        {
-                            WriteVerdict::Persist => state.store.write_zeroes(lba, sectors as u64),
-                            WriteVerdict::Drop => {}
-                            WriteVerdict::Partial(mask) => {
-                                for (s, &keep) in mask.iter().enumerate() {
-                                    if keep {
-                                        state.store.write_zeroes(lba.advance(s as u64), 1);
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        state.store.write_zeroes(lba, sectors as u64);
-                    }
+                    write_media(
+                        &mut state.store,
+                        &state.faults,
+                        lba,
+                        u64::from(sectors),
+                        Some(now),
+                        WriteKind::Timed,
+                        Media::Zeroes,
+                    );
                 }
                 state.stats.writes += 1;
                 state.stats.written_bytes += total_bytes;
@@ -1276,48 +1300,29 @@ impl NvmeDevice {
     /// candidates like any other.
     pub fn write_raw(&self, lba: Lba, data: &[u8]) {
         let state = &mut *self.state.lock();
-        if state.faults.is_active() {
-            let sectors = (data.len() as u64 / SECTOR_SIZE) as u32;
-            match state.faults.on_write(lba, sectors, None, WriteKind::Raw) {
-                WriteVerdict::Persist => state.store.write(lba, data),
-                WriteVerdict::Drop => {}
-                WriteVerdict::Partial(mask) => {
-                    for (s, &keep) in mask.iter().enumerate() {
-                        if keep {
-                            let b = s * SECTOR_SIZE as usize;
-                            state
-                                .store
-                                .write(lba.advance(s as u64), &data[b..b + SECTOR_SIZE as usize]);
-                        }
-                    }
-                }
-            }
-        } else {
-            state.store.write(lba, data);
-        }
+        write_media(
+            &mut state.store,
+            &state.faults,
+            lba,
+            data.len() as u64 / SECTOR_SIZE,
+            None,
+            WriteKind::Raw,
+            Media::Data(data),
+        );
     }
 
     /// Zeroes raw sectors, bypassing queues and timing.
     pub fn zero_raw(&self, lba: Lba, sectors: u64) {
         let state = &mut *self.state.lock();
-        if state.faults.is_active() {
-            match state
-                .faults
-                .on_write(lba, sectors as u32, None, WriteKind::Zeroes)
-            {
-                WriteVerdict::Persist => state.store.write_zeroes(lba, sectors),
-                WriteVerdict::Drop => {}
-                WriteVerdict::Partial(mask) => {
-                    for (s, &keep) in mask.iter().enumerate() {
-                        if keep {
-                            state.store.write_zeroes(lba.advance(s as u64), 1);
-                        }
-                    }
-                }
-            }
-        } else {
-            state.store.write_zeroes(lba, sectors);
-        }
+        write_media(
+            &mut state.store,
+            &state.faults,
+            lba,
+            sectors,
+            None,
+            WriteKind::Zeroes,
+            Media::Zeroes,
+        );
     }
 
     /// Materialised media blocks (memory accounting).
@@ -2224,5 +2229,60 @@ mod tests {
         assert_eq!((s.qos_throttled, s.qos_deferred), (0, 0));
         dev.iommu().lock().invalidate_pasid(P);
         assert_eq!(dev.stats().atc_shootdowns, 1);
+    }
+
+    #[test]
+    fn scatter_tear_keeps_exactly_its_sectors_on_every_write_path() {
+        use bypassd_faults::plane::{Cut, Tear};
+        const N: u32 = 16;
+        let len = (N as u64 * SECTOR_SIZE) as usize;
+        let lba = Lba(64);
+        let tear = Tear {
+            seq: 0,
+            keep_sectors: 5,
+            scatter_salt: 0x7EA2,
+        };
+        // (path, bytes before the write, bytes the write stores)
+        for (path, old, new) in [
+            ("timed Write", 0x00, 0x3C),
+            ("timed WriteZeroes", 0xA5, 0x00),
+            ("write_raw", 0x00, 0x3C),
+            ("zero_raw", 0xA5, 0x00),
+        ] {
+            let (mem, dev) = setup();
+            dev.write_raw(lba, &vec![old; len]);
+            let plane = dev.fault_plane();
+            plane.reset();
+            plane.arm(Cut {
+                cut_seq: 1,
+                drop_before: Vec::new(),
+                tear: Some(tear),
+            });
+            let q = dev.create_queue(None, 8);
+            let dma = DmaBuffer::alloc(&mem, len);
+            dma.write(0, &vec![new; len]);
+            match path {
+                "timed Write" => {
+                    let cmd = Command::write(BlockAddr::Lba(lba), N, &dma);
+                    assert!(dev.execute(q, cmd, Nanos::ZERO).0.is_ok());
+                }
+                "timed WriteZeroes" => {
+                    let cmd = Command::write_zeroes(BlockAddr::Lba(lba), N);
+                    assert!(dev.execute(q, cmd, Nanos::ZERO).0.is_ok());
+                }
+                "write_raw" => dev.write_raw(lba, &vec![new; len]),
+                _ => dev.zero_raw(lba, N as u64),
+            }
+            let mut media = vec![0u8; len];
+            dev.read_raw(lba, &mut media);
+            for (i, sector) in media.chunks(SECTOR_SIZE as usize).enumerate() {
+                let want = if tear.keeps(i as u32, N) { new } else { old };
+                assert!(
+                    sector.iter().all(|&b| b == want),
+                    "{path}: sector {i} should hold {want:#x}"
+                );
+            }
+            assert_eq!(plane.stats().writes_torn, 1, "{path}");
+        }
     }
 }

@@ -399,7 +399,7 @@ fn crash_recovery_never_leaks_blocks_through_stale_ftes() {
         }
         fs.populate("/mine", 64 * 4096, 0xAB).unwrap();
         fs.populate("/work", 64 * 4096, 0x7B).unwrap();
-        sys.fs().crash_at(Nanos(cut_ns));
+        sys.device().fault_plane().cut_at_time(Nanos(cut_ns));
 
         let sim = Simulation::new();
         // The bystander's process outlives the simulation so its PASID
