@@ -413,9 +413,9 @@ fn multithreaded_distinct_fds_smoke() {
     }
     sim.run();
     let (proc, fds) = holder.lock().take().unwrap();
-    // Phase 2: one actor thread per fd, all running concurrently in the
-    // simulation (each is a real OS thread, so the RwLock'd file table
-    // and per-fd mutexes see genuine cross-thread access).
+    // Phase 2: one actor per fd, all interleaved in the simulation, so
+    // the RwLock'd file table and per-fd mutexes are taken by many
+    // actors in turn.
     let sim = Simulation::new();
     for (i, &fd) in fds.iter().enumerate() {
         let p = Arc::clone(&proc);

@@ -52,6 +52,9 @@ pub enum Ext4Error {
     InvalidPath,
     /// Directory not empty / object busy.
     Busy,
+    /// On-disk metadata is inconsistent (e.g. an overflow extent chain
+    /// that loops or leaves the data region); `fsck` reports it too.
+    Corrupt,
 }
 
 impl std::fmt::Display for Ext4Error {
@@ -65,6 +68,7 @@ impl std::fmt::Display for Ext4Error {
             Ext4Error::Perm => "permission denied",
             Ext4Error::InvalidPath => "invalid path",
             Ext4Error::Busy => "resource busy",
+            Ext4Error::Corrupt => "filesystem metadata corrupted",
         };
         f.write_str(s)
     }
@@ -260,7 +264,8 @@ impl Ext4 {
             let root = DiskInode::new(mode::DIR | 0o777, 0, 0);
             inner.icache.insert(ROOT_INO.0, CachedInode::new(root));
             let mut tx = Tx::default();
-            fs.stage_inode(&mut inner, ROOT_INO, &mut tx);
+            fs.stage_inode(&mut inner, ROOT_INO, &mut tx)
+                .expect("an empty root directory has no overflow chain");
             fs.stage_sb(&inner, &mut tx);
             fs.commit_meta(&mut inner, tx);
         }
@@ -389,58 +394,95 @@ impl Ext4 {
 
     /// Serialises an inode (and its overflow extent chain if the extent
     /// cache is loaded) into `tx`.
-    fn stage_inode(&self, inner: &mut FsInner, ino: Ino, tx: &mut Tx) {
+    ///
+    /// # Errors
+    /// As [`Ext4::flush_extents_to_disk`]; `tx` then holds nothing of
+    /// this inode.
+    fn stage_inode(&self, inner: &mut FsInner, ino: Ino, tx: &mut Tx) -> Ext4Result<()> {
         // Flush extents into the disk inode representation first.
-        self.flush_extents_to_disk(inner, ino, tx);
+        self.flush_extents_to_disk(inner, ino, tx)?;
         let ci = inner.icache.get(&ino.0).expect("stage of uncached inode");
         let (blk, off) = Self::ino_slot(&inner.sb, ino);
         let mut img = self.block_image(tx, blk);
         img[off..off + INODE_SIZE as usize].copy_from_slice(&ci.disk.encode());
         tx.stage(blk, img);
+        Ok(())
+    }
+
+    /// Walks `disk`'s on-disk overflow extent chain, handing each block
+    /// and its extents to `each`. The walk is bounded: every hop must
+    /// land in the data region, and a chain longer than `extent_count`
+    /// extents can fill (a cycle, e.g. a block linked to itself) stops it.
+    ///
+    /// # Errors
+    /// [`Ext4Error::Corrupt`] when either bound is broken.
+    fn walk_overflow(
+        &self,
+        sb: &Superblock,
+        disk: &DiskInode,
+        mut each: impl FnMut(u64, Vec<Extent>),
+    ) -> Ext4Result<()> {
+        let max_hops = u64::from(disk.extent_count)
+            .div_ceil(EXTENTS_PER_BLOCK as u64)
+            .min(sb.blocks.saturating_sub(sb.data_start));
+        let mut buf = vec![0u8; BLOCK_SIZE as usize];
+        let (mut b, mut hops) = (disk.overflow_block, 0);
+        while b != 0 {
+            if hops == max_hops || b < sb.data_start || b >= sb.blocks {
+                return Err(Ext4Error::Corrupt);
+            }
+            self.dev.read_raw(Lba::from_block(b), &mut buf);
+            let (extents, next) = decode_extent_block(&buf);
+            each(b, extents);
+            b = next;
+            hops += 1;
+        }
+        Ok(())
     }
 
     /// Rewrites the inode's extent representation: first
     /// [`INLINE_EXTENTS`] inline, the rest in a chain of overflow blocks.
-    fn flush_extents_to_disk(&self, inner: &mut FsInner, ino: Ino, tx: &mut Tx) {
+    ///
+    /// # Errors
+    /// [`Ext4Error::Corrupt`] when the existing chain is malformed;
+    /// [`Ext4Error::NoSpace`] when the chain must grow and the device is
+    /// full. Either way the inode and allocator are left as they were.
+    fn flush_extents_to_disk(&self, inner: &mut FsInner, ino: Ino, tx: &mut Tx) -> Ext4Result<()> {
         let Some(ci) = inner.icache.get(&ino.0) else {
-            return;
+            return Ok(());
         };
-        let Some(tree) = ci.extents.clone() else {
-            return;
+        let Some(tree) = &ci.extents else {
+            return Ok(());
         };
         let all: Vec<Extent> = tree.iter().copied().collect();
-        let ci = inner.icache.get_mut(&ino.0).unwrap();
-        ci.disk.extent_count = all.len() as u32;
-        ci.disk.inline = all.iter().take(INLINE_EXTENTS).copied().collect();
-        let overflow: Vec<Extent> = all.into_iter().skip(INLINE_EXTENTS).collect();
-        // Collect the existing chain for reuse.
+        // Collect the existing chain (sized by the on-disk count) for reuse.
         let mut chain = Vec::new();
-        let mut b = ci.disk.overflow_block;
-        let mut buf = vec![0u8; BLOCK_SIZE as usize];
-        while b != 0 {
-            chain.push(b);
-            self.dev.read_raw(Lba::from_block(b), &mut buf);
-            let (_, next) = decode_extent_block(&buf);
-            b = next;
-        }
+        self.walk_overflow(&inner.sb, &ci.disk, |b, _| chain.push(b))?;
+        let overflow = all.get(INLINE_EXTENTS..).unwrap_or_default();
         let needed = overflow.len().div_ceil(EXTENTS_PER_BLOCK);
+        let reused = chain.len();
         while chain.len() < needed {
-            let blk = match inner.alloc.alloc_one() {
-                Some(b) => b,
-                None => panic!("no space for extent overflow block"),
+            let Some(b) = inner.alloc.alloc_one() else {
+                for &b in &chain[reused..] {
+                    inner.alloc.free_run(b, 1);
+                }
+                return Err(Ext4Error::NoSpace);
             };
-            chain.push(blk);
+            chain.push(b);
         }
-        while chain.len() > needed {
-            let blk = chain.pop().unwrap();
-            inner.alloc.free_run(blk, 1);
+        for &b in chain.get(needed..).unwrap_or_default() {
+            inner.alloc.free_run(b, 1);
         }
-        let ci = inner.icache.get_mut(&ino.0).unwrap();
-        ci.disk.overflow_block = chain.first().copied().unwrap_or(0);
+        chain.truncate(needed);
         for (i, chunk) in overflow.chunks(EXTENTS_PER_BLOCK).enumerate() {
             let next = chain.get(i + 1).copied().unwrap_or(0);
             tx.stage(chain[i], encode_extent_block(chunk, next));
         }
+        let disk = &mut inner.icache.get_mut(&ino.0).unwrap().disk;
+        disk.extent_count = all.len() as u32;
+        disk.inline = all.iter().take(INLINE_EXTENTS).copied().collect();
+        disk.overflow_block = chain.first().copied().unwrap_or(0);
+        Ok(())
     }
 
     fn commit_meta(&self, inner: &mut FsInner, mut tx: Tx) {
@@ -480,6 +522,9 @@ impl Ext4 {
 
     /// Ensures the extent-status cache is loaded; returns the modelled
     /// cost (device reads of the overflow chain when cold).
+    ///
+    /// # Errors
+    /// `NotFound`, or `Corrupt` when the overflow chain is malformed.
     pub(crate) fn ensure_extents(&self, inner: &mut FsInner, ino: Ino) -> Ext4Result<Nanos> {
         self.load_inode(inner, ino)?;
         let ci = inner.icache.get(&ino.0).unwrap();
@@ -487,16 +532,11 @@ impl Ext4 {
             return Ok(Nanos::ZERO);
         }
         let mut extents: Vec<Extent> = ci.disk.inline.clone();
-        let mut b = ci.disk.overflow_block;
         let mut reads = 0u64;
-        let mut buf = vec![0u8; BLOCK_SIZE as usize];
-        while b != 0 {
-            self.dev.read_raw(Lba::from_block(b), &mut buf);
-            let (mut more, next) = decode_extent_block(&buf);
+        self.walk_overflow(&inner.sb, &ci.disk, |_, mut more| {
             extents.append(&mut more);
-            b = next;
             reads += 1;
-        }
+        })?;
         let tree = ExtentTree::from_extents(extents);
         inner.icache.get_mut(&ino.0).unwrap().extents = Some(tree);
         // Each overflow block read is a real device read.
@@ -660,9 +700,28 @@ impl Ext4 {
         });
         let mut tx = Tx::default();
         let data = encode_dir(&entries);
-        self.write_dir_data(inner, parent, &data, &mut tx)?;
-        self.stage_inode(inner, parent, &mut tx);
-        self.stage_inode(inner, ino, &mut tx);
+        let (dir_end, dir_size) = {
+            let pci = inner.icache.get(&parent.0).unwrap();
+            (pci.extents.as_ref().unwrap().end_block(), pci.disk.size)
+        };
+        let staged = self
+            .write_dir_data(inner, parent, &data, &mut tx)
+            .and_then(|()| self.stage_inode(inner, parent, &mut tx))
+            .and_then(|()| self.stage_inode(inner, ino, &mut tx));
+        if let Err(e) = staged {
+            // Undo in memory too: the new inode goes, its number is
+            // free again, and the directory shrinks back (it only ever
+            // grows at its end), so no later commit carries half of it.
+            inner.icache.remove(&ino.0);
+            inner.free_inos.push(ino.0);
+            let pci = inner.icache.get_mut(&parent.0).unwrap();
+            pci.disk.size = dir_size;
+            let grown = pci.extents.as_mut().unwrap().truncate(dir_end);
+            for (start, len) in grown {
+                inner.alloc.free_run(start, len);
+            }
+            return Err(e);
+        }
         self.stage_sb(inner, &mut tx);
         self.commit_meta(inner, tx);
         Ok(ino)
@@ -750,8 +809,8 @@ impl Ext4 {
         }
         let data = encode_dir(&entries);
         self.write_dir_data(inner, parent, &data, &mut tx)?;
-        self.stage_inode(inner, parent, &mut tx);
-        self.stage_inode(inner, ino, &mut tx);
+        self.stage_inode(inner, parent, &mut tx)?;
+        self.stage_inode(inner, ino, &mut tx)?;
         self.commit_meta(inner, tx);
         inner.icache.remove(&ino.0);
         inner.free_inos.push(ino.0);
@@ -908,6 +967,21 @@ impl Ext4 {
         let first_fb = offset / BLOCK_SIZE;
         let last_fb = (offset + len - 1) / BLOCK_SIZE;
         let mut new_runs: Vec<(u64, u64, u64)> = Vec::new(); // (fb, start_block, len)
+
+        // A failed call leaves nothing behind in memory either, so no
+        // later commit can carry half of it.
+        let (before, old_size) = {
+            let ci = inner.icache.get(&ino.0).unwrap();
+            (ci.extents.clone(), ci.disk.size)
+        };
+        let undo = |inner: &mut FsInner, new_runs: &[(u64, u64, u64)]| {
+            let ci = inner.icache.get_mut(&ino.0).unwrap();
+            ci.extents.clone_from(&before);
+            ci.disk.size = old_size;
+            for &(_, start, len) in new_runs {
+                inner.alloc.free_run(start, len);
+            }
+        };
         let mut fb = first_fb;
         while fb <= last_fb {
             let existing = inner
@@ -934,7 +1008,10 @@ impl Ext4 {
                 .first()
                 .map_or(last_fb + 1, |e| e.file_block);
             let want = next_mapped - fb;
-            let run = inner.alloc.alloc(want).ok_or(Ext4Error::NoSpace)?;
+            let Some(run) = inner.alloc.alloc(want) else {
+                undo(inner, &new_runs);
+                return Err(Ext4Error::NoSpace);
+            };
             inner
                 .icache
                 .get_mut(&ino.0)
@@ -971,7 +1048,10 @@ impl Ext4 {
             }
         }
         let mut tx = Tx::default();
-        self.stage_inode(inner, ino, &mut tx);
+        if let Err(e) = self.stage_inode(inner, ino, &mut tx) {
+            undo(inner, &new_runs);
+            return Err(e);
+        }
         self.commit_meta(inner, tx);
         cost += inner.timing.journal_commit;
         // Propagate to file tables (shared fragments update in place).
@@ -1012,7 +1092,7 @@ impl Ext4 {
         }
         inner.icache.get_mut(&ino.0).unwrap().disk.size = new_size;
         let mut tx = Tx::default();
-        self.stage_inode(inner, ino, &mut tx);
+        self.stage_inode(inner, ino, &mut tx)?;
         self.commit_meta(inner, tx);
         cost += inner.timing.journal_commit;
         Ok(cost)
@@ -1029,7 +1109,7 @@ impl Ext4 {
         self.load_inode(inner, ino)?;
         inner.icache.get_mut(&ino.0).unwrap().disk.size = size;
         let mut tx = Tx::default();
-        self.stage_inode(inner, ino, &mut tx);
+        self.stage_inode(inner, ino, &mut tx)?;
         self.commit_meta(inner, tx);
         Ok(())
     }
@@ -1054,7 +1134,7 @@ impl Ext4 {
             }
         }
         let mut tx = Tx::default();
-        self.stage_inode(inner, ino, &mut tx);
+        self.stage_inode(inner, ino, &mut tx)?;
         self.commit_meta(inner, tx);
         Ok(())
     }

@@ -560,3 +560,114 @@ fn two_processes_share_fragment_frames() {
         "second fmap should reuse shared fragments"
     );
 }
+
+#[test]
+fn append_that_needs_an_overflow_block_on_a_full_device_is_nospace() {
+    let mem = PhysMem::new();
+    let iommu = Arc::new(Mutex::new(Iommu::new(&mem)));
+    // 16 MB device, small journal and inode table.
+    let dev = NvmeDevice::new(DEV, 32 << 10, MediaTiming::default(), iommu);
+    let opts = Ext4Options {
+        journal_blocks: 512,
+        itable_blocks: 8,
+        max_run: None,
+    };
+    let fs = Ext4::format(&dev, &mem, opts);
+    // Interleave single blocks so `/a` fills its 8 inline extents.
+    let a = fs.create("/a", 0o644, 0, 0).unwrap();
+    let b = fs.create("/b", 0o644, 0, 0).unwrap();
+    for i in 0..8 {
+        fs.allocate(a, i * BLOCK_SIZE, BLOCK_SIZE).unwrap();
+        fs.allocate(b, i * BLOCK_SIZE, BLOCK_SIZE).unwrap();
+    }
+    // Fill the device up to its last free block.
+    let c = fs.create("/c", 0o644, 0, 0).unwrap();
+    fs.allocate(c, 0, (fs.free_blocks() - 1) * BLOCK_SIZE)
+        .unwrap();
+    assert_eq!(fs.free_blocks(), 1);
+
+    // Appending one block to `/a` takes that last block as a 9th extent,
+    // which needs an overflow block the device no longer has.
+    assert_eq!(
+        fs.allocate(a, 8 * BLOCK_SIZE, BLOCK_SIZE),
+        Err(Ext4Error::NoSpace)
+    );
+    // Nothing of the failed append remains, in memory or on disk.
+    assert_eq!(fs.free_blocks(), 1, "data block returned");
+    let st = fs.stat(a).unwrap();
+    assert_eq!((st.size, st.blocks), (8 * BLOCK_SIZE, 8));
+    assert_eq!(
+        fs.allocate(a, 8 * BLOCK_SIZE, BLOCK_SIZE),
+        Err(Ext4Error::NoSpace),
+        "a retry fails the same way"
+    );
+    fs.touch(a, bypassd_sim::Nanos(5), true, true).unwrap();
+    let report = bypassd_ext4::fsck(&dev);
+    assert!(report.clean(), "{report}: {:?}", report.errors);
+    drop(fs);
+    let fs = Ext4::mount(&dev, &mem).unwrap();
+    assert_eq!(fs.stat(fs.lookup("/a").unwrap()).unwrap().blocks, 8);
+    assert_eq!(fs.free_blocks(), 1);
+    let report = bypassd_ext4::fsck(&dev);
+    assert!(report.clean(), "{report}: {:?}", report.errors);
+}
+
+#[test]
+fn create_that_needs_a_directory_overflow_block_on_a_full_device_is_nospace() {
+    use bypassd_ext4::layout::ROOT_INO;
+    let mem = PhysMem::new();
+    let iommu = Arc::new(Mutex::new(Iommu::new(&mem)));
+    // 16 MB device, small journal and inode table.
+    let dev = NvmeDevice::new(DEV, 32 << 10, MediaTiming::default(), iommu);
+    let opts = Ext4Options {
+        journal_blocks: 512,
+        itable_blocks: 16,
+        max_run: None,
+    };
+    let fs = Ext4::format(&dev, &mem, opts);
+    let fill = fs.create("/fill", 0o644, 0, 0).unwrap();
+    let spacer = fs.create("/spacer", 0o644, 0, 0).unwrap();
+    // 256-byte entries, 16 per block. Each time "/" grows by a block,
+    // a spacer block follows it, so its 8 blocks are 8 extents.
+    let name = |i: usize| format!("/{i:0>245}");
+    let mut created = 0;
+    let mut spacer_blocks = 0;
+    while fs.stat(ROOT_INO).unwrap().blocks < 8 {
+        fs.create(&name(created), 0o644, 0, 0).unwrap();
+        created += 1;
+        let dir_blocks = fs.stat(ROOT_INO).unwrap().blocks;
+        if dir_blocks > spacer_blocks {
+            fs.allocate(spacer, spacer_blocks * BLOCK_SIZE, BLOCK_SIZE)
+                .unwrap();
+            spacer_blocks = dir_blocks;
+        }
+    }
+    // Fill the directory's last block, then the device but one block.
+    while fs.stat(ROOT_INO).unwrap().size + 256 <= 8 * BLOCK_SIZE {
+        fs.create(&name(created), 0o644, 0, 0).unwrap();
+        created += 1;
+    }
+    fs.allocate(fill, 0, (fs.free_blocks() - 1) * BLOCK_SIZE)
+        .unwrap();
+    assert_eq!(fs.free_blocks(), 1);
+    let listing = fs.readdir("/").unwrap();
+
+    // The next entry takes the last block as the directory's 9th
+    // extent, which needs an overflow block the device no longer has.
+    for _ in 0..2 {
+        assert_eq!(
+            fs.create(&name(created), 0o644, 0, 0),
+            Err(Ext4Error::NoSpace)
+        );
+        assert_eq!(fs.free_blocks(), 1, "directory block returned");
+        assert_eq!(fs.readdir("/").unwrap(), listing);
+        assert_eq!(fs.stat(ROOT_INO).unwrap().blocks, 8);
+    }
+    let report = bypassd_ext4::fsck(&dev);
+    assert!(report.clean(), "{report}: {:?}", report.errors);
+    drop(fs);
+    let fs = Ext4::mount(&dev, &mem).unwrap();
+    assert_eq!(fs.readdir("/").unwrap(), listing);
+    let report = bypassd_ext4::fsck(&dev);
+    assert!(report.clean(), "{report}: {:?}", report.errors);
+}

@@ -341,6 +341,11 @@ impl<M: Send + 'static> Executor<M> {
             self.refresh_promises(&mut s, l, horizon);
             self.maybe_enqueue(&mut s, l);
             self.check_done(&mut s);
+            // This worker takes the first ready lane itself on its next
+            // pass; wake idle ones only for the rest.
+            for _ in 1..s.ready.len() {
+                self.cv.notify_one();
+            }
         }
     }
 
@@ -420,7 +425,6 @@ impl<M: Send + 'static> Executor<M> {
         if horizon > s.lane[l].committed || due_msg {
             s.lane[l].queued = true;
             s.ready.push_back(l);
-            self.cv.notify_one();
             true
         } else {
             false

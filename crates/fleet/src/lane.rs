@@ -44,7 +44,7 @@ struct HandleInner<M> {
 /// Cloneable handle through which handlers *and lane actors* arm
 /// self-timers and send cross-lane messages.
 ///
-/// Safe to use from actor threads: the lane's conductor runs exactly
+/// Safe to use from lane actors: the lane's conductor runs exactly
 /// one actor at a time, so arm/send order is virtual-time order and
 /// stays deterministic.
 pub struct LaneHandle<M> {
@@ -202,6 +202,5 @@ impl<M: Send + 'static> LaneModel<M> for Lane<M> {
             status.quiesced(),
             "lane failed to quiesce at finalization: {status:?}"
         );
-        self.sim.join_finished();
     }
 }

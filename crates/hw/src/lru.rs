@@ -9,12 +9,17 @@
 //!   (no allocation per touch), giving O(1) touch-on-hit, insert, and
 //!   LRU eviction — replacing the seed's `Vec` order list whose
 //!   `Vec::remove(0)` made every eviction O(n);
-//! * a per-PASID `BTreeSet` of secondary indices, so PASID and range
-//!   invalidations visit only the entries actually dropped (plus a
-//!   logarithmic range-seek) instead of `retain`-scanning the whole
-//!   cache.
+//! * a second intrusive list per PASID, threaded through the same slots,
+//!   so a PASID invalidation visits only that PASID's entries and a
+//!   range invalidation visits `min(range length, that PASID's entries)`
+//!   keys instead of `retain`-scanning the whole cache.
+//!
+//! Once the slab and maps have grown to capacity, no operation but the
+//! first insert for a new PASID touches the allocator: inserts and
+//! evictions on a full cache (the miss path of every translation cache)
+//! only relink slots.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use crate::types::Pasid;
 
@@ -25,22 +30,27 @@ struct Slot<V> {
     pasid: Pasid,
     index: u64,
     value: V,
+    /// Recency list neighbours.
     prev: u32,
     next: u32,
+    /// Neighbours in this slot's PASID list.
+    pprev: u32,
+    pnext: u32,
 }
 
 /// A fixed-capacity true-LRU cache keyed by `(Pasid, u64)`.
 ///
 /// `get` refreshes recency; `insert` evicts the least-recently-used entry
 /// when full. All single-entry operations are O(1) amortized (hash map
-/// plus list splice); invalidations cost O(log n) to locate the affected
-/// key range plus O(1) per entry dropped.
+/// plus list splice); a PASID invalidation costs O(1) per entry dropped,
+/// a range invalidation O(min(range length, entries of that PASID)).
 #[derive(Debug)]
 pub struct PasidLru<V> {
     map: HashMap<(Pasid, u64), u32>,
     slots: Vec<Slot<V>>,
     free: Vec<u32>,
-    by_pasid: HashMap<Pasid, BTreeSet<u64>>,
+    /// Head slot of each PASID's list.
+    by_pasid: HashMap<Pasid, u32>,
     head: u32,
     tail: u32,
     capacity: usize,
@@ -128,19 +138,40 @@ impl<V: Default> PasidLru<V> {
         }
     }
 
+    /// Puts `slot` at the head of its PASID's list.
+    fn link_pasid(&mut self, slot: u32) {
+        let pasid = self.slots[slot as usize].pasid;
+        let head = self.by_pasid.insert(pasid, slot).unwrap_or(NIL);
+        if head != NIL {
+            self.slots[head as usize].pprev = slot;
+        }
+        let s = &mut self.slots[slot as usize];
+        s.pprev = NIL;
+        s.pnext = head;
+    }
+
+    fn unlink_pasid(&mut self, slot: u32) {
+        let s = &self.slots[slot as usize];
+        let (pasid, pprev, pnext) = (s.pasid, s.pprev, s.pnext);
+        if pprev != NIL {
+            self.slots[pprev as usize].pnext = pnext;
+        } else if pnext != NIL {
+            self.by_pasid.insert(pasid, pnext);
+        } else {
+            self.by_pasid.remove(&pasid);
+        }
+        if pnext != NIL {
+            self.slots[pnext as usize].pprev = pprev;
+        }
+    }
+
     /// Removes `slot` from every index and returns its value.
     fn discard(&mut self, slot: u32) -> V {
         self.unlink(slot);
+        self.unlink_pasid(slot);
         let s = &mut self.slots[slot as usize];
-        let (pasid, index) = (s.pasid, s.index);
         let value = std::mem::take(&mut s.value);
-        self.map.remove(&(pasid, index));
-        if let Some(set) = self.by_pasid.get_mut(&pasid) {
-            set.remove(&index);
-            if set.is_empty() {
-                self.by_pasid.remove(&pasid);
-            }
-        }
+        self.map.remove(&(s.pasid, s.index));
         self.free.push(slot);
         value
     }
@@ -203,13 +234,15 @@ impl<V: Default> PasidLru<V> {
                     value,
                     prev: NIL,
                     next: NIL,
+                    pprev: NIL,
+                    pnext: NIL,
                 });
                 s
             }
         };
         self.push_front(slot);
+        self.link_pasid(slot);
         self.map.insert((pasid, index), slot);
-        self.by_pasid.entry(pasid).or_default().insert(index);
         true
     }
 
@@ -220,54 +253,47 @@ impl<V: Default> PasidLru<V> {
     }
 
     /// Drops every entry of `pasid`; returns how many were dropped.
-    /// Cost: O(1) amortized per dropped entry.
+    /// Cost: O(1) per dropped entry.
     pub fn invalidate_pasid(&mut self, pasid: Pasid) -> usize {
-        let Some(set) = self.by_pasid.remove(&pasid) else {
-            return 0;
-        };
-        let n = set.len();
-        for index in set {
-            if let Some(slot) = self.map.remove(&(pasid, index)) {
-                self.unlink(slot);
-                self.slots[slot as usize].value = V::default();
-                self.free.push(slot);
-            }
+        let mut n = 0;
+        while let Some(&head) = self.by_pasid.get(&pasid) {
+            self.discard(head);
+            n += 1;
         }
         n
     }
 
     /// Drops `pasid`'s entries with secondary index in `[first, last]`;
-    /// returns how many were dropped. Cost: O(log n) to seek the range
-    /// plus O(1) amortized per dropped entry — a single-range shootdown
-    /// no longer scans the whole cache.
+    /// returns how many were dropped. Cost: O(1) per key probed, probing
+    /// either every index of the range or every entry of `pasid`,
+    /// whichever is fewer — a single-range shootdown never scans the
+    /// whole cache.
     pub fn invalidate_range(&mut self, pasid: Pasid, first: u64, last: u64) -> usize {
-        // An inverted bound means an empty shootdown, not a panic:
-        // BTreeSet::range aborts on start > end.
+        // An inverted bound means an empty shootdown, not a panic.
         if first > last {
             return 0;
         }
-        // BTreeSet::range + per-key remove keeps the cost proportional to
-        // the entries actually dropped (plus one logarithmic range seek).
-        let doomed: Vec<u64> = match self.by_pasid.get(&pasid) {
-            Some(set) => set.range(first..=last).copied().collect(),
-            None => return 0,
-        };
-        for index in &doomed {
-            if let Some(slot) = self.map.remove(&(pasid, *index)) {
-                self.unlink(slot);
-                self.slots[slot as usize].value = V::default();
-                self.free.push(slot);
+        let mut n = 0;
+        if last - first < self.map.len() as u64 {
+            for index in first..=last {
+                if let Some(&slot) = self.map.get(&(pasid, index)) {
+                    self.discard(slot);
+                    n += 1;
+                }
+            }
+        } else {
+            let mut cur = self.by_pasid.get(&pasid).copied().unwrap_or(NIL);
+            while cur != NIL {
+                let s = &self.slots[cur as usize];
+                let (next, index) = (s.pnext, s.index);
+                if (first..=last).contains(&index) {
+                    self.discard(cur);
+                    n += 1;
+                }
+                cur = next;
             }
         }
-        if let Some(set) = self.by_pasid.get_mut(&pasid) {
-            for index in &doomed {
-                set.remove(index);
-            }
-            if set.is_empty() {
-                self.by_pasid.remove(&pasid);
-            }
-        }
-        doomed.len()
+        n
     }
 
     /// Keys from most- to least-recently used (test/debug helper).
@@ -363,10 +389,27 @@ mod tests {
     }
 
     #[test]
+    fn wide_range_invalidation_walks_the_pasid_list() {
+        // A range wider than the cache is resolved by walking P1's list
+        // rather than probing every index.
+        let mut c: PasidLru<u64> = PasidLru::new(32);
+        for i in 0..10 {
+            c.insert(P1, i * 1000, i);
+            c.insert(P2, i * 1000, i);
+        }
+        assert_eq!(c.invalidate_range(P1, 2500, u64::MAX), 7);
+        for i in 0..10 {
+            assert_eq!(c.contains(P1, i * 1000), i < 3, "index {i}");
+            assert!(c.contains(P2, i * 1000), "other PASID untouched");
+        }
+        assert_eq!(c.invalidate_pasid(P1), 3);
+        assert_eq!(c.len(), 10);
+    }
+
+    #[test]
     fn inverted_range_invalidation_is_an_empty_shootdown() {
-        // Regression: `invalidate_range(7, 3)` used to panic inside
-        // BTreeSet::range ("range start is greater than range end")
-        // instead of dropping nothing.
+        // Regression: `invalidate_range(7, 3)` once panicked (inside a
+        // `BTreeSet::range` seek) instead of dropping nothing.
         let mut c: PasidLru<u64> = PasidLru::new(8);
         c.insert(P1, 5, 5);
         assert_eq!(c.invalidate_range(P1, 7, 3), 0);

@@ -7,7 +7,11 @@
 //!   virtual clock; wall-clock reads, sleeps and OS randomness anywhere
 //!   outside the benchmark crate would break the bit-identical-trace
 //!   contract (DESIGN.md §10). Forbidden: `Instant::now`, `SystemTime`,
-//!   `thread::sleep`, `rand::thread_rng`.
+//!   `thread::sleep`, `rand::thread_rng`. Also forbidden: `thread_local!`.
+//!   Actors are coroutines that resume on whichever thread drives the
+//!   next slice (DESIGN.md §5, "Coroutine conductor"), so thread-local
+//!   state read before a yield and again after it may belong to two
+//!   different threads.
 //! * **R3 — atomic-ordering justification.** Every relaxed/acquire/
 //!   release ordering must carry an `// ordering:` comment (same line or
 //!   the two lines above) explaining why that ordering suffices. SeqCst
@@ -92,27 +96,36 @@ pub fn r1(file: &SourceFile) -> Vec<Diagnostic> {
         let TokenKind::Ident(name) = &t.kind else {
             continue;
         };
+        const CLOCK: &str = "simulated timing must come from the virtual clock \
+                             (bypassd_sim::time) or the seeded Rng so runs stay reproducible";
         let hit = match name.as_str() {
             "Instant" if file.is_path_sep(i + 1) && file.is_ident(i + 3, "now") => {
-                Some("`Instant::now` reads the wall clock")
+                Some(("`Instant::now` reads the wall clock", CLOCK))
             }
-            "SystemTime" => Some("`SystemTime` reads the wall clock"),
+            "SystemTime" => Some(("`SystemTime` reads the wall clock", CLOCK)),
             "thread" if file.is_path_sep(i + 1) && file.is_ident(i + 3, "sleep") => {
-                Some("`thread::sleep` blocks on real time")
+                Some(("`thread::sleep` blocks on real time", CLOCK))
             }
-            "thread_rng" => Some("`thread_rng` is OS-seeded, nondeterministic randomness"),
+            "thread_rng" => Some((
+                "`thread_rng` is OS-seeded, nondeterministic randomness",
+                CLOCK,
+            )),
+            "thread_local" if toks.get(i + 1).map(|t| &t.kind) == Some(&TokenKind::Punct('!')) => {
+                Some((
+                    "`thread_local!` state does not follow an actor across a yield",
+                    "an actor coroutine may resume on another thread, so keep per-actor \
+                     state in the actor or in shared simulation state",
+                ))
+            }
             _ => None,
         };
-        if let Some(why) = hit {
+        if let Some((why, fix)) = hit {
             out.push(file.diag(
                 "R1",
                 t.line,
                 t.col,
                 t.col + t.width(),
-                format!(
-                    "{why}; simulated timing must come from the virtual clock \
-                     (bypassd_sim::time) or the seeded Rng so runs stay reproducible"
-                ),
+                format!("{why}; {fix}"),
                 None,
             ));
         }
@@ -211,6 +224,19 @@ mod tests {
         let hits = run(r1, src);
         assert_eq!(hits.len(), 3);
         assert!(hits.iter().all(|d| d.rule == "R1"));
+    }
+
+    #[test]
+    fn r1_flags_thread_local_macro_only() {
+        let hits = run(r1, "thread_local! { static X: u8 = 0; }");
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].message.contains("thread_local!"));
+        // The `LocalKey` type and a same-named fn are not the macro.
+        assert!(run(
+            r1,
+            "fn f(k: &'static std::thread::LocalKey<u8>) { thread_local(); }"
+        )
+        .is_empty());
     }
 
     #[test]

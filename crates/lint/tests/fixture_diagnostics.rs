@@ -66,6 +66,30 @@ fn r1_good_is_clean() {
 }
 
 #[test]
+fn r1_tls_bad_reports_each_thread_local_macro() {
+    let diags = rules::r1(&fixture("r1_tls_bad.rs"));
+    let at: Vec<_> = diags
+        .iter()
+        .map(|d| (d.path.as_str(), d.line, d.col))
+        .collect();
+    assert_eq!(
+        at,
+        vec![
+            ("crates/fixture/src/r1_tls_bad.rs", 4, 1),
+            ("crates/fixture/src/r1_tls_bad.rs", 9, 10),
+        ],
+        "{diags:#?}"
+    );
+    assert!(diags.iter().all(|d| d.rule == "R1"));
+    assert!(diags[0].message.contains("across a yield"));
+}
+
+#[test]
+fn r1_tls_good_is_clean() {
+    assert_eq!(rules::r1(&fixture("r1_tls_good.rs")), vec![]);
+}
+
+#[test]
 fn r2_bad_reports_the_inversion_cycle() {
     let mut graph = LockGraph::default();
     graph.scan_file(&fixture("r2_bad.rs"), "fixture");

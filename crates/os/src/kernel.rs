@@ -66,6 +66,7 @@ impl From<Ext4Error> for Errno {
             Ext4Error::NotDir => Errno::NotDir,
             Ext4Error::InvalidPath => Errno::Inval,
             Ext4Error::Busy => Errno::Busy,
+            Ext4Error::Corrupt => Errno::Io,
         }
     }
 }

@@ -18,10 +18,11 @@
 //!
 //! ## Locking discipline
 //!
-//! Simulated actors run one-at-a-time, but they are real threads: holding
-//! any lock across a virtual-time wait (`ActorCtx::delay`/`wait_until`)
-//! deadlocks the simulation. Every method here computes under short lock
-//! scopes and waits only with all locks released.
+//! Simulated actors run one-at-a-time as coroutines on the conductor's
+//! thread: holding any lock across a virtual-time wait
+//! (`ActorCtx::delay`/`wait_until`) deadlocks the simulation. Every
+//! method here computes under short lock scopes and waits only with all
+//! locks released.
 
 pub mod aio;
 pub mod cost;

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use bypassd_ext4::{Ext4, Ext4Options};
+use bypassd_ext4::{Ext4, Ext4Error, Ext4Options};
 use bypassd_hw::iommu::Iommu;
 use bypassd_hw::types::DevId;
 use bypassd_hw::PhysMem;
@@ -437,4 +437,70 @@ fn fallocate_and_ftruncate() {
         k.sys_ftruncate(ctx, pid, fd, 4096).unwrap();
         assert_eq!(k.sys_fstat(ctx, pid, fd).unwrap().size, 4096);
     });
+}
+
+#[test]
+fn self_linked_overflow_block_is_an_error_not_a_hang() {
+    use bypassd_ext4::layout::{
+        decode_extent_block, encode_extent_block, DiskInode, Superblock, BLOCK_SIZE,
+        INODES_PER_BLOCK, INODE_SIZE,
+    };
+    use bypassd_hw::types::Lba;
+
+    let mem = PhysMem::new();
+    let iommu = Arc::new(Mutex::new(Iommu::new(&mem)));
+    let dev = NvmeDevice::new(DevId(1), 8 << 20, MediaTiming::default(), iommu);
+    let fs = Ext4::format(&dev, &mem, Ext4Options::default());
+    // Interleaved single blocks: `/frag` spills past its inline extents.
+    let frag = fs.create("/frag", 0o666, 0, 0).unwrap();
+    let pad = fs.create("/pad", 0o666, 0, 0).unwrap();
+    for i in 0..12 {
+        fs.allocate(frag, i * BLOCK_SIZE, BLOCK_SIZE).unwrap();
+        fs.allocate(pad, i * BLOCK_SIZE, BLOCK_SIZE).unwrap();
+    }
+    // Remount (journal replay rewrites the chain's home blocks), so the
+    // extent cache is cold and the next access must walk the chain.
+    drop(fs);
+    let fs = Arc::new(Ext4::mount(&dev, &mem).unwrap());
+
+    // Point the first overflow block's `next` at itself.
+    let mut buf = vec![0u8; BLOCK_SIZE as usize];
+    dev.read_raw(Lba(0), &mut buf);
+    let sb = Superblock::decode(&buf).unwrap();
+    let idx = frag.0 - 1;
+    dev.read_raw(
+        Lba::from_block(sb.itable_start + idx / INODES_PER_BLOCK),
+        &mut buf,
+    );
+    let off = ((idx % INODES_PER_BLOCK) * INODE_SIZE) as usize;
+    let ob = DiskInode::decode(&buf[off..off + INODE_SIZE as usize]).overflow_block;
+    assert_ne!(ob, 0, "fixture must spill to an overflow block");
+    dev.read_raw(Lba::from_block(ob), &mut buf);
+    let (extents, _) = decode_extent_block(&buf);
+    dev.write_raw(Lba::from_block(ob), &encode_extent_block(&extents, ob));
+
+    // The read path (block resolution) and the append path (allocation)
+    // both refuse the chain; each retry walks it again and stops again.
+    for _ in 0..2 {
+        assert_eq!(fs.resolve(frag, 0, 4096), Err(Ext4Error::Corrupt));
+        let end = 12 * BLOCK_SIZE;
+        assert_eq!(fs.allocate(frag, end, BLOCK_SIZE), Err(Ext4Error::Corrupt));
+    }
+    // Through the kernel that is EIO (`open` stats the file, which
+    // counts its blocks).
+    let k = Kernel::new(&mem, fs, CostModel::default(), 4096);
+    run_actor(&k, |ctx, k| {
+        let pid = k.spawn_process(0, 0);
+        let opened = k.sys_open(ctx, pid, "/frag", OpenFlags::rdwr_direct(), 0);
+        assert_eq!(opened, Err(Errno::Io));
+    });
+    let report = bypassd_ext4::fsck(&dev);
+    assert!(
+        report
+            .errors
+            .iter()
+            .any(|e| e.contains("overflow chain cycle")),
+        "{report}: {:?}",
+        report.errors
+    );
 }

@@ -1,21 +1,25 @@
 //! The discrete-event conductor.
 //!
-//! Simulated actors are real OS threads, but the conductor admits exactly
-//! one at a time: whenever an actor blocks (via [`ActorCtx::delay`] or
-//! [`ActorCtx::wait_until`]) or finishes, the conductor advances virtual
-//! time to the earliest pending wakeup and hands the run token to that
-//! actor. Ties are broken FIFO by a global sequence number, so a run is
-//! fully deterministic for a fixed set of actors and seeds.
+//! Every simulated actor is a stackful coroutine (`crate::coro`) run on
+//! the thread that calls [`Simulation::run`] or [`Simulation::run_until`].
+//! That call is the conductor: it pops the earliest wakeup from one
+//! `(time, seq, actor)` min-heap, advances virtual time to it and
+//! switches straight into that actor, which runs until it blocks (via
+//! [`ActorCtx::delay`] or [`ActorCtx::wait_until`]) or finishes and then
+//! switches back. Ties are broken FIFO by a global sequence number, so a
+//! run is fully deterministic for a fixed set of actors and seeds. A
+//! handoff is two stack switches and three uncontended lock round trips,
+//! whatever the number of actors.
 //!
-//! Handoffs are targeted: each actor parks on its own condvar and the
-//! conductor wakes exactly the next runnable actor, so the cost of a
-//! handoff is independent of how many actors exist. (The earlier
-//! broadcast design woke every parked actor per event, which made large
-//! fleets quadratic in wakeups.)
+//! Exactly one actor executes at any moment, so shared simulation state
+//! (the SSD model, the kernel, …) can be protected by ordinary mutexes
+//! that are never contended. An actor that blocks outside the simulation
+//! primitives blocks the conductor's thread with it.
 //!
-//! Shared simulation state (the SSD model, the kernel, …) can be protected
-//! by ordinary mutexes — they are never contended because only one actor
-//! executes at any moment.
+//! An actor resumes on whichever thread drives the next slice, so actor
+//! code must never hold thread-local state across a yield (DESIGN.md §5,
+//! "Coroutine conductor"); `cargo xtask lint` flags `thread_local!` for
+//! that reason.
 //!
 //! ## Lane mode
 //!
@@ -23,120 +27,59 @@
 //! [`Simulation::run_until`], which executes events up to an inclusive
 //! horizon and then pauses. `bypassd-fleet` uses this to run many small
 //! simulations ("lanes") side by side, each advancing its own timeline
-//! between conservative synchronization points.
+//! between conservative synchronization points; a lane's actors run on
+//! the worker thread that steps it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use crate::coro::{Coroutine, StackPool};
 use crate::time::Nanos;
 
 /// Identifies an actor within one [`Simulation`].
 pub type ActorId = u64;
 
-#[derive(Debug)]
 struct SimState {
     /// Current virtual time.
     now: Nanos,
     /// Min-heap of (wake time, sequence, actor) — the actor run queue.
     waiting: BinaryHeap<Reverse<(Nanos, u64, ActorId)>>,
-    /// The actor currently holding the run token, if any.
-    current: Option<ActorId>,
     /// Number of spawned actors that have not finished.
     live: usize,
     /// Monotone tie-breaker for FIFO ordering of equal wake times.
     next_seq: u64,
-    /// Next actor id to hand out.
-    next_id: ActorId,
-    /// Whether the simulation has started executing actors.
-    started: bool,
+    /// Whether a `run`/`run_until` call is dispatching actors.
+    driving: bool,
     /// Name of an actor that panicked, if any.
     panicked: Option<String>,
     /// Inclusive dispatch bound: actors with wake times beyond this are
     /// not dispatched. `Nanos::MAX` (run-to-completion) except while a
     /// lane executor drives the simulation via [`Simulation::run_until`].
     horizon: Nanos,
-    /// Per-actor parking condvars, indexed by `ActorId`. Each handoff
-    /// wakes exactly one of these.
-    parkers: Vec<Arc<Condvar>>,
+    /// Coroutine of each actor, indexed by `ActorId`; `None` once the
+    /// actor has finished.
+    actors: Vec<Option<Box<Coroutine>>>,
+    /// Stacks of finished actors, reused by later ones.
+    stacks: StackPool,
 }
 
-struct Inner {
-    state: Mutex<SimState>,
-    /// Control condvar: signalled when the dispatcher pauses (horizon
-    /// reached) or the simulation quiesces, waking `run`/`run_until`.
-    cond: Condvar,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl Inner {
-    /// Pop the earliest waiting actor (within the horizon), advance time,
-    /// and wake exactly that actor. Must be called with the state lock
-    /// held and `current == None`. If the earliest wakeup lies beyond the
-    /// horizon, or there is nothing left to run, wakes the conductor's
-    /// control condvar instead.
-    fn dispatch_next(&self, state: &mut SimState) {
-        debug_assert!(state.current.is_none());
-        let runnable = match state.waiting.peek() {
-            Some(&Reverse((t, _, _))) => t <= state.horizon,
-            None => false,
-        };
-        if runnable {
-            let Reverse((t, _seq, id)) = state.waiting.pop().expect("peeked entry vanished");
-            state.now = state.now.max(t);
-            state.current = Some(id);
-            state.parkers[id as usize].notify_one();
-        } else if state.waiting.is_empty() && state.live > 0 && state.started {
-            panic!(
-                "simulation deadlock: {} live actor(s) but none runnable \
-                 (an actor blocked outside the simulation primitives?)",
-                state.live
-            );
-        } else {
-            // Paused at the horizon, or all done; wake `run`/`run_until`.
-            self.cond.notify_all();
-        }
+impl SimState {
+    /// Enqueue `id` to wake at `t` (clamped to now, for determinism).
+    fn enqueue(&mut self, t: Nanos, id: ActorId) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.waiting.push(Reverse((t.max(self.now), seq, id)));
     }
 
-    /// Enqueue `id` to wake at `t` (which must be >= now for determinism).
-    fn enqueue(&self, state: &mut SimState, t: Nanos, id: ActorId) {
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.waiting.push(Reverse((t.max(state.now), seq, id)));
-    }
-
-    /// Block the calling actor until it holds the run token; returns the
-    /// virtual time at which it resumes (so the actor can cache it).
-    fn wait_for_token(&self, id: ActorId) -> Nanos {
-        let mut state = self.state.lock();
-        let parker = Arc::clone(&state.parkers[id as usize]);
-        while state.current != Some(id) {
-            parker.wait(&mut state);
+    fn status(&self) -> RunStatus {
+        RunStatus {
+            next_wake: self.waiting.peek().map(|&Reverse((t, _, _))| t),
+            live: self.live,
         }
-        state.now
-    }
-}
-
-/// Ensures the run token is passed on even if the actor panics.
-struct FinishGuard {
-    inner: Arc<Inner>,
-    id: ActorId,
-    name: String,
-}
-
-impl Drop for FinishGuard {
-    fn drop(&mut self) {
-        let mut state = self.inner.state.lock();
-        debug_assert_eq!(state.current, Some(self.id));
-        state.current = None;
-        state.live -= 1;
-        if std::thread::panicking() {
-            state.panicked = Some(self.name.clone());
-        }
-        self.inner.dispatch_next(&mut state);
     }
 }
 
@@ -171,7 +114,7 @@ impl RunStatus {
 /// assert_eq!(sim.now(), Nanos(10));
 /// ```
 pub struct Simulation {
-    inner: Arc<Inner>,
+    state: Arc<Mutex<SimState>>,
 }
 
 impl Default for Simulation {
@@ -187,7 +130,7 @@ impl Clone for Simulation {
     /// every call site.
     fn clone(&self) -> Self {
         Simulation {
-            inner: Arc::clone(&self.inner),
+            state: Arc::clone(&self.state),
         }
     }
 }
@@ -196,22 +139,17 @@ impl Simulation {
     /// Creates an empty simulation at virtual time zero.
     pub fn new() -> Self {
         Simulation {
-            inner: Arc::new(Inner {
-                state: Mutex::new(SimState {
-                    now: Nanos::ZERO,
-                    waiting: BinaryHeap::new(),
-                    current: None,
-                    live: 0,
-                    next_seq: 0,
-                    next_id: 0,
-                    started: false,
-                    panicked: None,
-                    horizon: Nanos::MAX,
-                    parkers: Vec::new(),
-                }),
-                cond: Condvar::new(),
-                threads: Mutex::new(Vec::new()),
-            }),
+            state: Arc::new(Mutex::new(SimState {
+                now: Nanos::ZERO,
+                waiting: BinaryHeap::new(),
+                live: 0,
+                next_seq: 0,
+                driving: false,
+                panicked: None,
+                horizon: Nanos::MAX,
+                actors: Vec::new(),
+                stacks: StackPool::default(),
+            })),
         }
     }
 
@@ -240,75 +178,38 @@ impl Simulation {
     where
         F: FnOnce(&mut ActorCtx) + Send + 'static,
     {
-        let inner = Arc::clone(&self.inner);
-        let id;
-        {
-            let mut state = inner.state.lock();
-            if start < state.now {
-                panic!(
-                    "spawn_at schedules actor '{name}' in the past: start {start} < now {} \
-                     (events at {start} have already been dispatched; spawning behind the \
-                     clock would reorder the run queue)",
-                    state.now
-                );
-            }
-            id = state.next_id;
-            state.next_id += 1;
-            state.live += 1;
-            state.parkers.push(Arc::new(Condvar::new()));
-            debug_assert_eq!(state.parkers.len() as u64, state.next_id);
-            self.inner.enqueue(&mut state, start, id);
-        }
         let name = name.to_string();
-        let thread_inner = Arc::clone(&self.inner);
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                let now = thread_inner.wait_for_token(id);
-                let mut ctx = ActorCtx {
-                    inner: Arc::clone(&thread_inner),
-                    id,
-                    name: name.clone(),
-                    now,
-                };
-                let _guard = FinishGuard {
-                    inner: thread_inner,
-                    id,
-                    name,
-                };
-                f(&mut ctx);
-            })
-            .expect("failed to spawn simulation actor thread");
-        self.inner.threads.lock().push(handle);
+        let shared = Arc::clone(&self.state);
+        let mut state = self.state.lock();
+        let now = state.now;
+        if start < now {
+            drop(state);
+            panic!(
+                "spawn_at schedules actor '{name}' in the past: start {start} < now {now} \
+                 (events at {start} have already been dispatched; spawning behind the \
+                 clock would reorder the run queue)"
+            );
+        }
+        let id = state.actors.len() as ActorId;
+        let state = &mut *state;
+        let co = Coroutine::new(
+            Box::new(move |co| actor_main(shared, co, id, name, f)),
+            &mut state.stacks,
+        );
+        state.actors.push(Some(co));
+        state.live += 1;
+        state.enqueue(start, id);
         id
     }
 
     /// Runs the simulation until every actor has finished.
     ///
     /// # Panics
-    /// Panics if any actor panicked, or on deadlock (an actor blocked
-    /// outside the simulation primitives).
+    /// Panics if any actor panicked, or if called from inside one of this
+    /// simulation's actors or while another thread drives it.
     pub fn run(&self) {
-        {
-            let mut state = self.inner.state.lock();
-            state.started = true;
-            state.horizon = Nanos::MAX;
-            if state.current.is_none() {
-                self.inner.dispatch_next(&mut state);
-            }
-            while state.live > 0 {
-                self.inner.cond.wait(&mut state);
-            }
-        }
-        // Join threads so panics/resources are fully settled.
-        let handles: Vec<_> = std::mem::take(&mut *self.inner.threads.lock());
-        for h in handles {
-            let _ = h.join();
-        }
-        let state = self.inner.state.lock();
-        if let Some(name) = &state.panicked {
-            panic!("simulation actor '{name}' panicked");
-        }
+        let status = self.run_until(Nanos::MAX);
+        debug_assert!(status.quiesced(), "run ended with {status:?}");
     }
 
     /// Runs the simulation up to and including virtual time `horizon`,
@@ -317,36 +218,52 @@ impl Simulation {
     /// Dispatches every pending wakeup with time `<= horizon` (in the
     /// same deterministic order [`Simulation::run`] would use) and
     /// returns once no runnable actor remains at or below the horizon.
-    /// Actors whose next wakeup lies beyond the horizon stay parked;
+    /// Actors whose next wakeup lies beyond the horizon stay suspended;
     /// a later `run_until` with a larger horizon (or [`Simulation::run`])
-    /// resumes them. Calling with a horizon at or before a previous one
-    /// is a no-op that just reports status.
+    /// resumes them, on whichever thread makes that call. Calling with a
+    /// horizon at or before a previous one is a no-op that just reports
+    /// status.
     ///
     /// # Panics
-    /// Panics if an actor panicked during this slice, or on deadlock.
+    /// Panics if an actor panicked during this slice, or if called from
+    /// inside one of this simulation's actors or while another thread
+    /// drives it.
     pub fn run_until(&self, horizon: Nanos) -> RunStatus {
-        let mut state = self.inner.state.lock();
-        state.started = true;
+        let mut state = self.state.lock();
+        assert!(
+            !state.driving,
+            "a simulation was driven from inside one of its own actors, \
+             or from two threads at once"
+        );
+        state.driving = true;
         state.horizon = horizon;
-        loop {
-            if state.current.is_none() {
-                let runnable = match state.waiting.peek() {
-                    Some(&Reverse((t, _, _))) => t <= horizon,
-                    None => false,
-                };
-                if runnable {
-                    self.inner.dispatch_next(&mut state);
-                } else {
-                    break;
-                }
-            } else {
-                self.inner.cond.wait(&mut state);
+        while let Some(&Reverse((t, _, id))) = state.waiting.peek() {
+            if t > horizon {
+                break;
+            }
+            state.waiting.pop();
+            state.now = state.now.max(t);
+            let co: *const Coroutine = &**state.actors[id as usize]
+                .as_ref()
+                .expect("a finished actor was queued");
+            drop(state);
+            // SAFETY: the box stays in `actors` until the actor finishes,
+            // and it is neither finished nor running: it was queued, and
+            // only this call (`driving`) dispatches this simulation.
+            let done = unsafe {
+                (*co).resume();
+                (*co).is_done()
+            };
+            state = self.state.lock();
+            if done {
+                let st = &mut *state;
+                st.live -= 1;
+                let co = st.actors[id as usize].take().expect("actor finished twice");
+                co.recycle(&mut st.stacks);
             }
         }
-        let status = RunStatus {
-            next_wake: state.waiting.peek().map(|&Reverse((t, _, _))| t),
-            live: state.live,
-        };
+        state.driving = false;
+        let status = state.status();
         let panicked = state.panicked.clone();
         drop(state);
         if let Some(name) = panicked {
@@ -355,56 +272,27 @@ impl Simulation {
         status
     }
 
-    /// Joins all actor threads. Callable only once every actor has
-    /// finished (e.g. after [`Simulation::run_until`] reported
-    /// `live == 0`); [`Simulation::run`] already joins internally.
-    ///
-    /// # Panics
-    /// Panics if actors are still live (joining would block forever on a
-    /// parked actor), or if any actor panicked.
-    pub fn join_finished(&self) {
-        let live = self.inner.state.lock().live;
-        assert_eq!(
-            live, 0,
-            "join_finished with {live} live actor(s): drive the simulation \
-             to quiescence (run / run_until) before joining"
-        );
-        let handles: Vec<_> = std::mem::take(&mut *self.inner.threads.lock());
-        for h in handles {
-            let _ = h.join();
-        }
-        let state = self.inner.state.lock();
-        if let Some(name) = &state.panicked {
-            panic!("simulation actor '{name}' panicked");
-        }
-    }
-
     /// The current virtual time (final time, once [`Simulation::run`] has
     /// returned).
     pub fn now(&self) -> Nanos {
-        self.inner.state.lock().now
+        self.state.lock().now
     }
 
     /// Earliest pending wakeup, if any. Stable only while the simulation
     /// is paused (before `run`, or between `run_until` slices).
     pub fn next_wake(&self) -> Option<Nanos> {
-        self.inner
-            .state
-            .lock()
-            .waiting
-            .peek()
-            .map(|&Reverse((t, _, _))| t)
+        self.state.lock().status().next_wake
     }
 
     /// Number of actors that have not finished.
     pub fn live(&self) -> usize {
-        self.inner.state.lock().live
+        self.state.lock().live
     }
 }
 
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.inner.state.lock();
+        let state = self.state.lock();
         f.debug_struct("Simulation")
             .field("now", &state.now)
             .field("live", &state.live)
@@ -412,18 +300,38 @@ impl std::fmt::Debug for Simulation {
     }
 }
 
+/// An actor's whole life, on its own coroutine: run the closure, and
+/// record a panic instead of letting it unwind off the coroutine.
+fn actor_main<F>(state: Arc<Mutex<SimState>>, co: &Coroutine, id: ActorId, name: String, f: F)
+where
+    F: FnOnce(&mut ActorCtx),
+{
+    let now = state.lock().now;
+    let mut ctx = ActorCtx {
+        state,
+        co,
+        id,
+        name,
+        now,
+    };
+    if catch_unwind(AssertUnwindSafe(|| f(&mut ctx))).is_err() {
+        ctx.state.lock().panicked = Some(ctx.name.clone());
+    }
+}
+
 /// Handle through which an actor interacts with virtual time.
 ///
-/// An `ActorCtx` is passed to each actor closure; it must not be sent to
-/// other actors.
+/// An `ActorCtx` is passed to each actor closure; it cannot leave the
+/// actor's own coroutine (it is neither `Send` nor `Sync`).
 pub struct ActorCtx {
-    inner: Arc<Inner>,
+    state: Arc<Mutex<SimState>>,
+    /// The coroutine this actor runs on; outlives the context.
+    co: *const Coroutine,
     id: ActorId,
     name: String,
-    /// Cache of the conductor's clock. Valid whenever this actor holds the
-    /// run token: virtual time only advances in `dispatch_next` (while no
-    /// actor runs) or in this actor's own `wait_until` fast path, so no
-    /// other thread can move the clock while we execute.
+    /// Cache of the conductor's clock. Valid whenever this actor runs:
+    /// virtual time only advances in the conductor (while no actor runs)
+    /// or in this actor's own `wait_until` fast path.
     now: Nanos,
 }
 
@@ -454,16 +362,15 @@ impl ActorCtx {
     /// but still yields to equal-time actors queued earlier).
     pub fn wait_until(&mut self, t: Nanos) {
         {
-            let mut state = self.inner.state.lock();
-            debug_assert_eq!(state.current, Some(self.id));
+            let mut state = self.state.lock();
             // Fast path: if no other actor is scheduled at or before our
-            // effective wake time, the conductor would hand the token
-            // straight back to us, so advance the clock in place and keep
+            // effective wake time, the conductor would switch straight
+            // back into us, so advance the clock in place and keep
             // running. The comparison must be inclusive: an actor already
             // waiting at exactly that time has an earlier FIFO sequence
             // number and must run first. The fast path must also respect
             // the dispatch horizon — a lane executor relies on every
-            // actor parking before the clock crosses it.
+            // actor suspending before the clock crosses it.
             let eff = t.max(state.now);
             let handoff = match state.waiting.peek() {
                 Some(&Reverse((wake, _, _))) => wake <= eff,
@@ -474,11 +381,11 @@ impl ActorCtx {
                 self.now = eff;
                 return;
             }
-            state.current = None;
-            self.inner.enqueue(&mut state, t, self.id);
-            self.inner.dispatch_next(&mut state);
+            state.enqueue(t, self.id);
         }
-        self.now = self.inner.wait_for_token(self.id);
+        // SAFETY: `co` is the coroutine running this very code.
+        unsafe { (*self.co).suspend() };
+        self.now = self.state.lock().now;
     }
 
     /// Yields to any other actor scheduled at the current time.
@@ -497,7 +404,7 @@ impl ActorCtx {
         F: FnOnce(&mut ActorCtx) + Send + 'static,
     {
         let sim = Simulation {
-            inner: Arc::clone(&self.inner),
+            state: Arc::clone(&self.state),
         };
         sim.spawn_at(start, name, f)
     }
@@ -721,7 +628,6 @@ mod tests {
         let st = sim.run_until(Nanos::MAX);
         assert!(st.quiesced());
         assert_eq!(*log.lock(), vec![10, 20, 30, 40, 50]);
-        sim.join_finished();
     }
 
     #[test]
@@ -754,7 +660,6 @@ mod tests {
                 break;
             }
         }
-        sim2.join_finished();
         assert_eq!(*whole.lock(), *sliced.lock());
         assert_eq!(sim.now(), sim2.now());
     }
@@ -776,6 +681,5 @@ mod tests {
             sim.now()
         );
         assert!(sim.run_until(Nanos::MAX).quiesced());
-        sim.join_finished();
     }
 }

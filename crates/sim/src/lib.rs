@@ -4,10 +4,11 @@
 //! reproduction. It provides:
 //!
 //! * [`time::Nanos`] — the virtual time unit (nanoseconds).
-//! * [`engine::Simulation`] — a conductor that runs *real OS threads* as
-//!   simulated actors, exactly one at a time, always the one with the
-//!   earliest virtual timestamp. Workload code stays straight-line
-//!   imperative while runs remain bit-for-bit reproducible.
+//! * [`engine::Simulation`] — a conductor that runs simulated actors as
+//!   stackful coroutines on its caller's own thread, exactly one at a
+//!   time, always the one with the earliest virtual timestamp. Workload
+//!   code stays straight-line imperative (`ctx.delay(..)` blocks like a
+//!   call) while runs remain bit-for-bit reproducible.
 //! * [`rng`] — seedable PRNG plus the YCSB zipfian/latest distributions.
 //! * [`stats`] — log-bucketed latency histograms and throughput counters.
 //! * [`report`] — plain-text table formatting for the benchmark harnesses.
@@ -30,6 +31,7 @@
 //! assert_eq!(sim.now(), Nanos::from_micros(5));
 //! ```
 
+mod coro;
 pub mod engine;
 pub mod mailbox;
 pub mod port;

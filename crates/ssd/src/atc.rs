@@ -127,53 +127,51 @@ impl AtsCache {
         self.len() == 0
     }
 
-    /// Attempts to translate `len` bytes at `vba` entirely from the cache.
-    /// Returns coalesced `(Lba, sectors)` extents plus the modeled hit
-    /// cost, or `None` when disabled, any page misses, or a write lacks
+    /// Attempts to translate `len` bytes at `vba` entirely from the cache,
+    /// appending the coalesced `(Lba, sectors)` extents to `out` and
+    /// returning the modeled hit cost. Returns `None`, with `out` as it
+    /// was, when disabled, when any page misses, or when a write lacks
     /// permission (the IOMMU then performs — and faults — the request).
-    pub fn translate(
+    /// A hit allocates nothing once `out` has grown to the request size.
+    pub fn translate_into(
         &self,
         pasid: Pasid,
         vba: Vba,
         len: u64,
         access: AccessKind,
-    ) -> Option<(Vec<(Lba, u32)>, Nanos)> {
+        out: &mut Vec<(Lba, u32)>,
+    ) -> Option<Nanos> {
         let mut inner = self.inner.lock();
         if !inner.enabled {
             return None;
         }
         let first_page = vba.0 / PAGE_SIZE;
         let last_page = (vba.0 + len.max(1) - 1) / PAGE_SIZE;
-        let mut extents: Vec<(Lba, u32)> = Vec::new();
+        let mark = out.len();
         for page in first_page..=last_page {
             let entry = match inner.cache.get(pasid, page) {
-                Some(e) => *e,
-                None => {
+                // Insufficient permission for a write: let the IOMMU
+                // walk and fault.
+                Some(e) if access == AccessKind::Read || e.writable => *e,
+                _ => {
                     inner.misses += 1;
+                    out.drain(mark..);
                     return None;
                 }
             };
-            if access == AccessKind::Write && !entry.writable {
-                // Insufficient permission: let the IOMMU walk and fault.
-                inner.misses += 1;
-                return None;
-            }
             let page_start = page * PAGE_SIZE;
             let lo = vba.0.max(page_start);
             let hi = (vba.0 + len).min(page_start + PAGE_SIZE);
             let sector_off = (lo - page_start) / SECTOR_SIZE;
             let sectors = ((hi - lo) / SECTOR_SIZE) as u32;
             let lba = entry.lba.advance(sector_off);
-            if let Some(last) = extents.last_mut() {
-                if last.0.advance(last.1 as u64) == lba {
-                    last.1 += sectors;
-                    continue;
-                }
+            match out[mark..].last_mut() {
+                Some(last) if last.0.advance(last.1 as u64) == lba => last.1 += sectors,
+                _ => out.push((lba, sectors)),
             }
-            extents.push((lba, sectors));
         }
         inner.hits += 1;
-        Some((extents, self.hit_cost))
+        Some(self.hit_cost)
     }
 
     /// Installs the per-page translations returned by an IOMMU walk.
@@ -226,13 +224,23 @@ mod tests {
         }
     }
 
+    /// `translate_into` into a fresh vector.
+    fn translate(
+        atc: &AtsCache,
+        vba: Vba,
+        len: u64,
+        access: AccessKind,
+    ) -> Option<(Vec<(Lba, u32)>, Nanos)> {
+        let mut out = Vec::new();
+        let cost = atc.translate_into(P, vba, len, access, &mut out)?;
+        Some((out, cost))
+    }
+
     #[test]
     fn disabled_cache_never_answers() {
         let atc = AtsCache::new(16);
         atc.fill(P, &[page(1, 10, true)]);
-        assert!(atc
-            .translate(P, Vba(PAGE_SIZE), PAGE_SIZE, AccessKind::Read)
-            .is_none());
+        assert!(translate(&atc, Vba(PAGE_SIZE), PAGE_SIZE, AccessKind::Read).is_none());
         assert_eq!(atc.stats(), AtcStats::default(), "disabled: no counters");
     }
 
@@ -244,9 +252,7 @@ mod tests {
             P,
             &[page(0, 10, true), page(1, 11, true), page(2, 40, true)],
         );
-        let (extents, cost) = atc
-            .translate(P, Vba(0), 3 * PAGE_SIZE, AccessKind::Read)
-            .unwrap();
+        let (extents, cost) = translate(&atc, Vba(0), 3 * PAGE_SIZE, AccessKind::Read).unwrap();
         assert_eq!(
             extents,
             vec![(Lba::from_block(10), 16), (Lba::from_block(40), 8)]
@@ -260,10 +266,27 @@ mod tests {
         let atc = AtsCache::new(16);
         atc.set_enabled(true);
         atc.fill(P, &[page(0, 10, true)]);
-        assert!(atc
-            .translate(P, Vba(0), 2 * PAGE_SIZE, AccessKind::Read)
-            .is_none());
+        assert!(translate(&atc, Vba(0), 2 * PAGE_SIZE, AccessKind::Read).is_none());
         assert_eq!(atc.stats().misses, 1);
+    }
+
+    #[test]
+    fn appends_after_existing_extents_and_restores_them_on_a_miss() {
+        let atc = AtsCache::new(16);
+        atc.set_enabled(true);
+        atc.fill(P, &[page(0, 10, true), page(1, 11, true)]);
+        // A prior extent that the first page would continue: kept apart.
+        let prior = (Lba::from_block(9), 8);
+        let mut out = vec![prior];
+        assert!(atc
+            .translate_into(P, Vba(0), PAGE_SIZE, AccessKind::Read, &mut out)
+            .is_some());
+        assert_eq!(out, vec![prior, (Lba::from_block(10), 8)]);
+        // Pages 0-1 hit, page 2 misses: nothing of this call remains.
+        assert!(atc
+            .translate_into(P, Vba(0), 3 * PAGE_SIZE, AccessKind::Read, &mut out)
+            .is_none());
+        assert_eq!(out, vec![prior, (Lba::from_block(10), 8)]);
     }
 
     #[test]
@@ -271,12 +294,8 @@ mod tests {
         let atc = AtsCache::new(16);
         atc.set_enabled(true);
         atc.fill(P, &[page(0, 10, false)]);
-        assert!(atc
-            .translate(P, Vba(0), PAGE_SIZE, AccessKind::Write)
-            .is_none());
-        assert!(atc
-            .translate(P, Vba(0), PAGE_SIZE, AccessKind::Read)
-            .is_some());
+        assert!(translate(&atc, Vba(0), PAGE_SIZE, AccessKind::Write).is_none());
+        assert!(translate(&atc, Vba(0), PAGE_SIZE, AccessKind::Read).is_some());
     }
 
     #[test]
@@ -285,12 +304,8 @@ mod tests {
         atc.set_enabled(true);
         atc.fill(P, &[page(0, 10, true), page(1, 11, true)]);
         atc.ats_invalidate_range(P, Vba(0), PAGE_SIZE);
-        assert!(atc
-            .translate(P, Vba(0), PAGE_SIZE, AccessKind::Read)
-            .is_none());
-        assert!(atc
-            .translate(P, Vba(PAGE_SIZE), PAGE_SIZE, AccessKind::Read)
-            .is_some());
+        assert!(translate(&atc, Vba(0), PAGE_SIZE, AccessKind::Read).is_none());
+        assert!(translate(&atc, Vba(PAGE_SIZE), PAGE_SIZE, AccessKind::Read).is_some());
         atc.ats_invalidate_pasid(P);
         assert!(atc.is_empty());
         assert_eq!(atc.stats().shootdowns, 2);
@@ -303,8 +318,6 @@ mod tests {
         atc.fill(P, &[page(0, 10, true)]);
         atc.set_enabled(false);
         atc.set_enabled(true);
-        assert!(atc
-            .translate(P, Vba(0), PAGE_SIZE, AccessKind::Read)
-            .is_none());
+        assert!(translate(&atc, Vba(0), PAGE_SIZE, AccessKind::Read).is_none());
     }
 }

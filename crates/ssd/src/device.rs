@@ -22,7 +22,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bypassd_faults::plane::{FaultPlane, WriteKind, WriteVerdict};
-use bypassd_hw::iommu::{AccessKind, Iommu};
+use bypassd_hw::iommu::{AccessKind, Iommu, PageTranslation};
 use bypassd_hw::types::{DevId, Lba, Pasid, Vba, SECTOR_SIZE};
 use bypassd_offload::{
     run_hop, ChainSpec, ChainState, Outcome, ProgHandle, Program, BLOCK, MAX_HOPS, STEP_NS,
@@ -209,6 +209,8 @@ struct DevScratch {
     extents: Vec<(Lba, u32)>,
     /// Staging chunk for media ↔ DMA data movement.
     chunk: Vec<u8>,
+    /// Per-page results of an IOMMU walk, kept to fill the device ATC.
+    pages: Vec<PageTranslation>,
 }
 
 struct DevState {
@@ -772,31 +774,31 @@ impl NvmeDevice {
                 let len = cmd.sectors as u64 * SECTOR_SIZE;
                 // Device-side ATC first (no PCIe round trip on a hit);
                 // off by default, in which case this is always None.
-                if let Some((atc_extents, cost)) = self.atc.translate(pasid, vba, len, kind) {
+                let bufs = &mut state.io_bufs;
+                if let Some(cost) =
+                    self.atc
+                        .translate_into(pasid, vba, len, kind, &mut bufs.extents)
+                {
                     let cost = if is_write { Nanos::ZERO } else { cost };
                     scratch.walk = Some(WalkLevel::AtcHit);
                     scratch.translate = cost;
-                    state.io_bufs.extents.extend_from_slice(&atc_extents);
                     cost
                 } else {
-                    let mut pages = if self.atc.enabled() {
-                        Some(Vec::new())
-                    } else {
-                        None
-                    };
+                    let collect = self.atc.enabled();
+                    bufs.pages.clear();
                     let walked = self.iommu.lock().translate_extents_into(
                         pasid,
                         vba,
                         len,
                         kind,
                         self.id,
-                        pages.as_mut(),
-                        &mut state.io_bufs.extents,
+                        collect.then_some(&mut bufs.pages),
+                        &mut bufs.extents,
                     );
                     match walked {
                         Ok(t) => {
-                            if let Some(pages) = &pages {
-                                self.atc.fill(pasid, pages);
+                            if collect {
+                                self.atc.fill(pasid, &bufs.pages);
                             }
                             // Reads serialise translation; writes overlap it
                             // with the data transfer (§4.3).

@@ -4,11 +4,13 @@
 //! preallocated slab, scratch, or ring.
 //!
 //! The binary installs a counting `#[global_allocator]` with a
-//! *thread-local* allocation counter, so only allocations made by the
-//! actor thread running the read loop are charged — the conductor
-//! thread's bookkeeping is irrelevant to the contract. This file is its
-//! own test target with a single `#[test]` so no parallel test can share
-//! the process.
+//! *thread-local* allocation counter, so only allocations made on the
+//! thread running the read loop are charged. The lone reader actor runs
+//! on the thread that calls `sim.run()` and never migrates, so the
+//! counter it reads before and after the loop is its own (the one
+//! exception to the no-thread-local-across-a-yield rule, allowlisted in
+//! `lint.toml`). This file is its own test target with a single
+//! `#[test]` so no parallel test can share the process.
 
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
 use std::cell::Cell;
